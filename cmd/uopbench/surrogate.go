@@ -73,7 +73,7 @@ func runSurrogateBench(path string, parallel int, whDir string) error {
 		MeasureInsts: goldenMeasure,
 		Parallel:     parallel,
 	}
-	eng, ws, err := uopsim.NewWarehouseRunEngine(whDir, uopsim.WarehouseOptions{}, 0)
+	eng, ws, err := uopsim.NewRunEngine(whDir, uopsim.WarehouseOptions{}, 0)
 	if err != nil {
 		return err
 	}

@@ -65,16 +65,15 @@ func newTestCluster(t *testing.T, n int) (*Gateway, string, []*testShard) {
 	shards := make([]*testShard, n)
 	urls := make([]string, n)
 	for i := range shards {
-		eng, ws, err := experiments.NewWarehouseEngine(t.TempDir(), warehouse.Options{}, 0)
+		eng, ws, err := experiments.NewEngine(t.TempDir(), warehouse.Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ws.Close() })
 		srv := server.New(server.Config{
-			Workers:   2,
-			Engine:    eng,
-			Warehouse: ws,
-			NodeID:    fmt.Sprintf("shard-%d", i),
+			Workers: 2,
+			Engine:  eng,
+			NodeID:  fmt.Sprintf("shard-%d", i),
 		})
 		fl := &flakyHandler{h: srv}
 		hts := httptest.NewServer(fl)

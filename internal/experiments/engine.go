@@ -17,7 +17,7 @@ import (
 // The scheme *label* is deliberately absent — two schemes that configure
 // the same machine (e.g. "baseline" from Schemes(2) and Schemes(3)) share
 // one payload, and the sweep re-attaches each driver's label when it
-// builds the Run. This struct is also the on-disk cache blob format.
+// builds the Run. This struct is also the stored blob format.
 type PointResult struct {
 	Suite    string           `json:"suite"`
 	Metrics  pipeline.Metrics `json:"metrics"`
@@ -26,41 +26,28 @@ type PointResult struct {
 
 // Engine is the shared design-point engine: it dedupes submissions by
 // fingerprint, simulates each unique point exactly once per process, and
-// optionally persists results as fingerprint-named JSON blobs.
+// optionally persists results in a warehouse.
 type Engine = runcache.Engine[PointResult]
 
-// NewEngine builds a design-point engine. cacheDir == "" keeps it purely
-// in-process; otherwise completed points persist under cacheDir and later
-// invocations load them back (corrupt or stale blobs are re-simulated,
-// never trusted). verifyEvery > 0 additionally re-simulates every n-th
-// disk-served point and fails it on any bit-level blob mismatch.
-func NewEngine(cacheDir string, verifyEvery int) (*Engine, error) {
+// NewEngine builds a design-point engine. dir == "" keeps it purely
+// in-process and returns a nil store. Otherwise results land in an indexed
+// warehouse at dir: append-only segment files keyed by fingerprint and
+// carrying each point's feature vector, so the same store that dedupes
+// re-runs also answers feature queries (/v1/query, figure rendering), and
+// later invocations load points back (corrupt or stale blobs are
+// re-simulated, never trusted). verifyEvery > 0 additionally re-simulates
+// every n-th stored point and fails it on any bit-level blob mismatch. The
+// returned store is the caller's to query, register for stats, and Close.
+func NewEngine(dir string, opts warehouse.Options, verifyEvery int) (*Engine, *warehouse.Store, error) {
 	e := runcache.New[PointResult]()
 	e.SetValidate(validatePoint)
-	if cacheDir != "" {
-		d, err := runcache.OpenDir(cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		e.SetDir(d)
-		e.SetVerifyEvery(verifyEvery)
+	if dir == "" {
+		return e, nil, nil
 	}
-	return e, nil
-}
-
-// NewWarehouseEngine builds a design-point engine backed by an indexed
-// warehouse instead of a flat blob dir: results land in append-only segment
-// files keyed by fingerprint and carrying each point's feature vector, so
-// the same store that dedupes re-runs also answers feature queries
-// (/v1/query, figure rendering). The returned store is the caller's to
-// query, register for stats, and Close.
-func NewWarehouseEngine(dir string, opts warehouse.Options, verifyEvery int) (*Engine, *warehouse.Store, error) {
 	ws, err := warehouse.Open(dir, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	e := runcache.New[PointResult]()
-	e.SetValidate(validatePoint)
 	e.SetStore(ws)
 	e.SetVerifyEvery(verifyEvery)
 	return e, ws, nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"uopsim/internal/pipeline"
+	"uopsim/internal/warehouse"
 	"uopsim/internal/workload"
 )
 
@@ -15,7 +16,7 @@ import (
 func engineParams(t *testing.T) Params {
 	t.Helper()
 	p := tinyParams()
-	eng, err := NewEngine("", 0)
+	eng, _, err := NewEngine("", warehouse.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,22 +283,30 @@ func TestEngineOutputBitIdentical(t *testing.T) {
 		t.Errorf("warm render simulated %d new points", after.Simulated-before.Simulated)
 	}
 
-	// Disk: cold pass writes blobs, warm pass (fresh engine, same dir)
-	// must serve every point from disk and still render identically.
+	// Disk: cold pass writes blobs, warm pass (fresh engine, same
+	// warehouse) must serve every point from disk and still render
+	// identically.
 	dir := t.TempDir()
-	cold := tinyParams()
-	eng, err := NewEngine(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	var prev *warehouse.Store
+	open := func(verifyEvery int) Params {
+		if prev != nil {
+			prev.Close() // one process at a time on the warehouse
+		}
+		p := tinyParams()
+		eng, ws, err := NewEngine(dir, warehouse.Options{}, verifyEvery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ws.Close() })
+		prev = ws
+		p.Engine = eng
+		return p
 	}
-	cold.Engine = eng
+	cold := open(0)
 	if got := render(cold); got != direct {
 		t.Error("disk-cold output differs")
 	}
-	warm := tinyParams()
-	if warm.Engine, err = NewEngine(dir, 0); err != nil {
-		t.Fatal(err)
-	}
+	warm := open(0)
 	if got := render(warm); got != direct {
 		t.Error("disk-warm output differs")
 	}
@@ -306,10 +315,7 @@ func TestEngineOutputBitIdentical(t *testing.T) {
 		t.Errorf("warm disk pass should simulate nothing: %+v", st)
 	}
 	// And a verifying pass re-simulates yet still matches.
-	verify := tinyParams()
-	if verify.Engine, err = NewEngine(dir, 1); err != nil {
-		t.Fatal(err)
-	}
+	verify := open(1)
 	if got := render(verify); got != direct {
 		t.Error("cache-verify output differs")
 	}

@@ -13,7 +13,7 @@ import (
 func warehouseParams(t *testing.T) (Params, *warehouse.Store) {
 	t.Helper()
 	p := tinyParams()
-	eng, ws, err := NewWarehouseEngine(t.TempDir(), warehouse.Options{}, 0)
+	eng, ws, err := NewEngine(t.TempDir(), warehouse.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

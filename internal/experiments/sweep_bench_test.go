@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"uopsim/internal/warehouse"
 )
 
 // benchJobs is a small scheme x workload grid, large enough that result
@@ -58,7 +60,7 @@ func BenchmarkSweepDelivery(b *testing.B) {
 // scheduling and delivery overhead from simulation cost.
 func BenchmarkSweepDeliveryDeduped(b *testing.B) {
 	jobs := benchJobs()
-	eng, err := NewEngine("", 0)
+	eng, _, err := NewEngine("", warehouse.Options{}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,10 +2,10 @@
 // content-addressed, reusable artifact: a canonical fingerprint over
 // everything that determines a simulation's outcome, an in-process memo
 // table that guarantees each fingerprint is simulated at most once per
-// process, and an optional on-disk blob store that persists results across
-// invocations. The experiment drivers submit points and render results;
-// the engine decides whether a point is simulated, replayed from memory,
-// or loaded from disk.
+// process, and an optional persistent Store (the warehouse) that keeps
+// results across invocations. The experiment drivers submit points and
+// render results; the engine decides whether a point is simulated,
+// replayed from memory, or loaded from disk.
 package runcache
 
 import (
@@ -26,6 +26,25 @@ func (f Fingerprint) Short() string {
 		return string(f[:12])
 	}
 	return string(f)
+}
+
+// fingerprintLen is the length of the hex SHA-256 digest Key emits.
+const fingerprintLen = 2 * sha256.Size
+
+// ParseFingerprint accepts exactly the form Key emits: 64 lowercase hex
+// characters. It is the gate for fingerprints arriving from outside the
+// process (an HTTP parameter, a legacy blob's file name), so a crafted
+// value such as a path can never address a record.
+func ParseFingerprint(s string) (Fingerprint, error) {
+	if len(s) != fingerprintLen {
+		return "", fmt.Errorf("runcache: fingerprint has %d characters, want %d lowercase hex", len(s), fingerprintLen)
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return "", fmt.Errorf("runcache: fingerprint %q is not lowercase hex", s)
+		}
+	}
+	return Fingerprint(s), nil
 }
 
 // Key fingerprints an ordered list of parts. Each part is canonically

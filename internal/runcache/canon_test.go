@@ -131,3 +131,25 @@ func TestFingerprintShort(t *testing.T) {
 		t.Errorf("Short on short fingerprint = %q", short.Short())
 	}
 }
+
+// TestParseFingerprint: exactly Key's output form passes; anything else —
+// wrong length, uppercase, or a path — is refused.
+func TestParseFingerprint(t *testing.T) {
+	fp := mustKey(t, "anything")
+	if got, err := ParseFingerprint(string(fp)); err != nil || got != fp {
+		t.Fatalf("ParseFingerprint(Key output) = %q, %v", got, err)
+	}
+	for _, bad := range []string{
+		"",
+		"abc",
+		string(fp[:63]),
+		string(fp) + "0",
+		strings.ToUpper(string(fp)),
+		"../../" + string(fp[6:]),
+		string(fp[:63]) + "g",
+	} {
+		if _, err := ParseFingerprint(bad); err == nil {
+			t.Errorf("ParseFingerprint(%q) accepted", bad)
+		}
+	}
+}

@@ -2,8 +2,6 @@ package runcache
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -107,14 +105,13 @@ func TestEngineSingleflight(t *testing.T) {
 	}
 }
 
+// TestEngineDiskRoundTrip: a second engine over the same store (a fresh
+// process over the same warehouse) loads what the first persisted instead
+// of recomputing it.
 func TestEngineDiskRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newRecordingStore()
 	e1 := New[payload]()
-	e1.SetDir(d)
+	e1.SetStore(st)
 	want := payload{N: 9, S: "persisted"}
 	if _, err := e1.Do("fp", func() (payload, error) { return want, nil }); err != nil {
 		t.Fatal(err)
@@ -123,16 +120,14 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 		t.Fatalf("writer stats = %+v", st)
 	}
 
-	// A second process (fresh engine, same directory) must load, not
-	// recompute.
 	e2 := New[payload]()
-	e2.SetDir(d)
+	e2.SetStore(st)
 	got, err := e2.Do("fp", func() (payload, error) {
-		t.Error("compute ran despite a valid disk blob")
+		t.Error("compute ran despite a valid stored blob")
 		return payload{}, nil
 	})
 	if err != nil || got != want {
-		t.Fatalf("disk load = %+v, %v (want %+v)", got, err, want)
+		t.Fatalf("store load = %+v, %v (want %+v)", got, err, want)
 	}
 	if st := e2.Stats(); st.DiskHits != 1 || st.Simulated != 0 {
 		t.Errorf("reader stats = %+v", st)
@@ -140,27 +135,24 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 }
 
 func TestEngineCorruptBlobResimulated(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := OpenDir(dir)
-	if err := os.WriteFile(d.BlobPath("fp"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	st := newRecordingStore()
+	st.blobs["fp"] = []byte("{not json")
 	e := New[payload]()
-	e.SetDir(d)
+	e.SetStore(st)
 	want := payload{N: 3}
 	got, err := e.Do("fp", func() (payload, error) { return want, nil })
 	if err != nil || got != want {
 		t.Fatalf("Do = %+v, %v", got, err)
 	}
-	st := e.Stats()
-	if st.BadBlobs != 1 || st.Simulated != 1 || st.DiskHits != 0 {
-		t.Errorf("stats = %+v", st)
+	es := e.Stats()
+	if es.BadBlobs != 1 || es.Simulated != 1 || es.DiskHits != 0 {
+		t.Errorf("stats = %+v", es)
 	}
 	// The corrupt blob must have been overwritten with the fresh result.
-	if st.DiskWrites != 1 {
-		t.Errorf("fresh result not persisted over the corrupt blob: %+v", st)
+	if es.DiskWrites != 1 {
+		t.Errorf("fresh result not persisted over the corrupt blob: %+v", es)
 	}
-	blob, ok := d.Load("fp")
+	blob, ok := st.Load("fp")
 	if !ok || !strings.Contains(string(blob), `"n":3`) {
 		t.Errorf("blob after repair = %q", blob)
 	}
@@ -169,13 +161,10 @@ func TestEngineCorruptBlobResimulated(t *testing.T) {
 // TestEngineValidateRejectsBlob: a blob that parses but fails the semantic
 // check is corruption too — never trusted, always re-simulated.
 func TestEngineValidateRejectsBlob(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := OpenDir(dir)
-	if err := os.WriteFile(d.BlobPath("fp"), []byte(`{"n":0,"s":""}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	st := newRecordingStore()
+	st.blobs["fp"] = []byte(`{"n":0,"s":""}`)
 	e := New[payload]()
-	e.SetDir(d)
+	e.SetStore(st)
 	e.SetValidate(func(p payload) error {
 		if p.N == 0 {
 			return errors.New("zero payload")
@@ -186,63 +175,58 @@ func TestEngineValidateRejectsBlob(t *testing.T) {
 	if err != nil || got.N != 5 {
 		t.Fatalf("Do = %+v, %v", got, err)
 	}
-	if st := e.Stats(); st.BadBlobs != 1 || st.Simulated != 1 {
-		t.Errorf("stats = %+v", st)
+	if es := e.Stats(); es.BadBlobs != 1 || es.Simulated != 1 {
+		t.Errorf("stats = %+v", es)
 	}
 }
 
 func TestEngineVerifyPassesOnHonestBlob(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := OpenDir(dir)
+	st := newRecordingStore()
 	e1 := New[payload]()
-	e1.SetDir(d)
+	e1.SetStore(st)
 	want := payload{N: 11, S: "v"}
 	if _, err := e1.Do("fp", func() (payload, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 
 	e2 := New[payload]()
-	e2.SetDir(d)
+	e2.SetStore(st)
 	e2.SetVerifyEvery(1)
 	got, err := e2.Do("fp", func() (payload, error) { return want, nil })
 	if err != nil || got != want {
 		t.Fatalf("verified Do = %+v, %v", got, err)
 	}
-	if st := e2.Stats(); st.Verified != 1 || st.VerifyFailed != 0 {
-		t.Errorf("stats = %+v", st)
+	if es := e2.Stats(); es.Verified != 1 || es.VerifyFailed != 0 {
+		t.Errorf("stats = %+v", es)
 	}
 }
 
 func TestEngineVerifyDetectsTamperedBlob(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := OpenDir(dir)
+	st := newRecordingStore()
 	// A blob that decodes and validates but does not match what the
 	// simulator produces — a stale cache after a code change that forgot
 	// the SimVersion bump, or silent bit rot.
-	if err := os.WriteFile(d.BlobPath("fp"), []byte(`{"n":999,"s":"stale"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	st.blobs["fp"] = []byte(`{"n":999,"s":"stale"}`)
 	e := New[payload]()
-	e.SetDir(d)
+	e.SetStore(st)
 	e.SetVerifyEvery(1)
 	_, err := e.Do("fp", func() (payload, error) { return payload{N: 1, S: "fresh"}, nil })
 	if err == nil {
 		t.Fatal("tampered blob must fail verification")
 	}
-	if !strings.Contains(err.Error(), d.BlobPath("fp")) {
+	if !strings.Contains(err.Error(), st.Location("fp")) {
 		t.Errorf("error should name the stale blob, got: %v", err)
 	}
-	if st := e.Stats(); st.VerifyFailed != 1 {
-		t.Errorf("stats = %+v", st)
+	if es := e.Stats(); es.VerifyFailed != 1 {
+		t.Errorf("stats = %+v", es)
 	}
 }
 
 // TestEngineVerifyEverySamples: only every n-th disk hit is re-simulated.
 func TestEngineVerifyEverySamples(t *testing.T) {
-	dir := t.TempDir()
-	d, _ := OpenDir(dir)
+	st := newRecordingStore()
 	e1 := New[payload]()
-	e1.SetDir(d)
+	e1.SetStore(st)
 	for _, fp := range []Fingerprint{"a", "b", "c", "d"} {
 		fp := fp
 		if _, err := e1.Do(fp, func() (payload, error) { return payload{N: 1, S: string(fp)}, nil }); err != nil {
@@ -250,7 +234,7 @@ func TestEngineVerifyEverySamples(t *testing.T) {
 		}
 	}
 	e2 := New[payload]()
-	e2.SetDir(d)
+	e2.SetStore(st)
 	e2.SetVerifyEvery(2)
 	for _, fp := range []Fingerprint{"a", "b", "c", "d"} {
 		fp := fp
@@ -258,38 +242,9 @@ func TestEngineVerifyEverySamples(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := e2.Stats()
-	if st.Verified != 2 || st.DiskHits != 2 {
-		t.Errorf("verify-every-2 over 4 hits: %+v", st)
-	}
-}
-
-func TestDirStoreAtomic(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Load("missing"); ok {
-		t.Error("Load of a missing blob must miss")
-	}
-	if err := d.Store("fp", []byte(`{"n":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, en := range entries {
-		if strings.HasPrefix(en.Name(), "tmp-") {
-			t.Errorf("temp file %s left behind", en.Name())
-		}
-	}
-	if got, ok := d.Load("fp"); !ok || string(got) != `{"n":1}` {
-		t.Errorf("Load = %q, %v", got, ok)
-	}
-	if d.BlobPath("fp") != filepath.Join(dir, "fp.json") {
-		t.Errorf("BlobPath = %q", d.BlobPath("fp"))
+	es := e2.Stats()
+	if es.Verified != 2 || es.DiskHits != 2 {
+		t.Errorf("verify-every-2 over 4 hits: %+v", es)
 	}
 }
 
@@ -311,15 +266,11 @@ func TestStatsSummary(t *testing.T) {
 
 // TestDoResolved reports how each submission was satisfied: a fresh
 // fingerprint computes, a repeat is a memo hit, and a fresh engine over the
-// same directory answers from disk.
+// same store answers from disk.
 func TestDoResolved(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newRecordingStore()
 	e1 := New[payload]()
-	e1.SetDir(d)
+	e1.SetStore(st)
 	compute := func() (payload, error) { return payload{N: 7}, nil }
 
 	if _, how, err := e1.DoResolved("fp", compute); err != nil || how != ResolvedCompute {
@@ -330,7 +281,7 @@ func TestDoResolved(t *testing.T) {
 	}
 
 	e2 := New[payload]()
-	e2.SetDir(d)
+	e2.SetStore(st)
 	if _, how, err := e2.DoResolved("fp", compute); err != nil || how != ResolvedDisk {
 		t.Fatalf("fresh-engine DoResolved = (%s, %v), want disk", how, err)
 	}

@@ -26,9 +26,9 @@ func (f Features) Get(key string) (string, bool) {
 }
 
 // Store is the persistence contract behind an Engine: a blob per
-// fingerprint, plus whatever indexing the implementation affords. Dir (the
-// legacy flat one-file-per-fingerprint directory) and warehouse.Store (the
-// indexed segment-file warehouse) both satisfy it. Implementations must be
+// fingerprint, plus whatever indexing the implementation affords. The
+// indexed segment-file warehouse (warehouse.Store) is the one persistent
+// implementation; tests substitute fakes through it. Implementations must be
 // safe for concurrent use and must never return a blob they cannot prove
 // intact — a doubtful read is a miss, the engine re-simulates.
 type Store interface {
@@ -37,7 +37,7 @@ type Store interface {
 	Load(fp Fingerprint) ([]byte, bool)
 	// Put persists blob under fp, replacing any previous record. feat is
 	// the point's canonical feature vector; stores without a feature index
-	// (Dir) ignore it.
+	// ignore it.
 	Put(fp Fingerprint, feat Features, blob []byte) error
 	// Location names where fp's blob lives, for error messages ("<path>",
 	// "warehouse <dir> record <fp>").
@@ -50,8 +50,8 @@ type Store interface {
 
 // SyncDir fsyncs a directory, making a rename inside it durable: the
 // rename is atomic in the namespace, but only a synced directory guarantees
-// a crash cannot roll the namespace back to the pre-rename state. Both Dir
-// and the warehouse's segment rotation publish files this way.
+// a crash cannot roll the namespace back to the pre-rename state. The
+// warehouse's segment rotation and compaction publish files this way.
 func SyncDir(path string) error {
 	d, err := os.Open(path)
 	if err != nil {

@@ -1,72 +1,34 @@
 package runcache
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// TestDirQuarantineRenamesBlob: quarantining moves the blob to <fp>.bad so
-// the corruption is preserved for inspection but the fingerprint misses
-// cleanly from then on.
-func TestDirQuarantineRenamesBlob(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(d.BlobPath("fp"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Quarantine("fp"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Load("fp"); ok {
-		t.Fatal("quarantined blob still loads")
-	}
-	bad, err := os.ReadFile(filepath.Join(dir, "fp.bad"))
-	if err != nil {
-		t.Fatal("quarantined blob not preserved as fp.bad:", err)
-	}
-	if string(bad) != "{not json" {
-		t.Fatalf("fp.bad = %q, want original corrupt bytes", bad)
-	}
-	// Quarantining an absent fingerprint is a no-op, not an error.
-	if err := d.Quarantine("absent"); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestEngineQuarantinesCorruptBlob: the miss on a corrupt blob is paid
 // exactly once. The first engine decodes garbage, counts a BadBlob,
 // quarantines, re-simulates, and re-persists; a second engine (a fresh
 // process) sees a clean disk hit, not the corruption again.
 func TestEngineQuarantinesCorruptBlob(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(d.BlobPath("fp"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	st := newRecordingStore()
+	st.blobs["fp"] = []byte("{not json")
 	e := New[payload]()
-	e.SetDir(d)
+	e.SetStore(st)
 	want := payload{N: 7, S: "fresh"}
 	got, err := e.Do("fp", func() (payload, error) { return want, nil })
 	if err != nil || got != want {
 		t.Fatalf("Do = %+v, %v", got, err)
 	}
-	if st := e.Stats(); st.BadBlobs != 1 || st.Simulated != 1 {
-		t.Fatalf("first-run stats = %+v", st)
+	if es := e.Stats(); es.BadBlobs != 1 || es.Simulated != 1 {
+		t.Fatalf("first-run stats = %+v", es)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "fp.bad")); err != nil {
-		t.Fatal("corrupt blob not quarantined to fp.bad:", err)
+	if len(st.quarantined) != 1 || st.quarantined[0] != "fp" {
+		t.Fatalf("corrupt blob not quarantined: %v", st.quarantined)
 	}
 
 	e2 := New[payload]()
-	e2.SetDir(d)
+	e2.SetStore(st)
 	got2, err := e2.Do("fp", func() (payload, error) {
 		t.Fatal("re-simulated a point the repaired blob should serve")
 		return payload{}, nil
@@ -74,15 +36,15 @@ func TestEngineQuarantinesCorruptBlob(t *testing.T) {
 	if err != nil || got2 != want {
 		t.Fatalf("second-run Do = %+v, %v", got2, err)
 	}
-	if st := e2.Stats(); st.DiskHits != 1 || st.BadBlobs != 0 {
-		t.Fatalf("second-run stats = %+v", st)
+	if es := e2.Stats(); es.DiskHits != 1 || es.BadBlobs != 0 {
+		t.Fatalf("second-run stats = %+v", es)
 	}
 }
 
 // TestDoFeaturedThreadsFeatures: features submitted with a point reach the
 // store's Put, and re-submissions (memo hits) do not re-store.
 func TestDoFeaturedThreadsFeatures(t *testing.T) {
-	rec := &recordingStore{blobs: map[Fingerprint][]byte{}}
+	rec := newRecordingStore()
 	e := New[payload]()
 	e.SetStore(rec)
 	feat := Features{{Key: "workload", Value: "bm_cc"}}
@@ -104,11 +66,18 @@ func TestDoFeaturedThreadsFeatures(t *testing.T) {
 	}
 }
 
-// recordingStore is a Store that remembers what Put received.
+// recordingStore is an in-memory Store that remembers what Put and
+// Quarantine received. Engines sharing one stand in for processes sharing
+// one warehouse.
 type recordingStore struct {
-	blobs   map[Fingerprint][]byte
-	putFeat Features
-	puts    int
+	blobs       map[Fingerprint][]byte
+	putFeat     Features
+	puts        int
+	quarantined []Fingerprint
+}
+
+func newRecordingStore() *recordingStore {
+	return &recordingStore{blobs: map[Fingerprint][]byte{}}
 }
 
 func (r *recordingStore) Load(fp Fingerprint) ([]byte, bool) {
@@ -126,6 +95,7 @@ func (r *recordingStore) Put(fp Fingerprint, feat Features, blob []byte) error {
 func (r *recordingStore) Location(fp Fingerprint) string { return "test store " + string(fp) }
 
 func (r *recordingStore) Quarantine(fp Fingerprint) error {
+	r.quarantined = append(r.quarantined, fp)
 	delete(r.blobs, fp)
 	return nil
 }

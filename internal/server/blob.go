@@ -17,9 +17,10 @@ import (
 // owner). Blobs travel verbatim — the simulator is deterministic, so the
 // same fingerprint encodes to the same bytes on every node — and a POSTed
 // blob must pass the same semantic validation the engine applies to disk
-// blobs before it is persisted. Daemons without a persistent store
-// (in-memory engines) answer 501: there is nothing to fetch from or
-// replicate into.
+// blobs before it is persisted. Both directions refuse, with a 400, any
+// fingerprint not in the form runcache.Key emits before the store is
+// touched. Daemons without a persistent store (in-memory engines) answer
+// 501: there is nothing to fetch from or replicate into.
 
 // BlobPut is /v1/blob's POST body: one stored record, addressed by its
 // canonical fingerprint and carrying the point's feature vector so a
@@ -38,17 +39,17 @@ const blobBodyLimit = 16 << 20
 func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 	store := s.eng.Store()
 	if store == nil {
-		s.writeError(w, http.StatusNotImplemented, "this daemon has no persistent store (start uopsimd with -cache or -warehouse)")
+		s.writeError(w, http.StatusNotImplemented, "this daemon has no persistent store (start uopsimd with -warehouse)")
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
-		fp := r.URL.Query().Get("fp")
-		if fp == "" {
-			s.writeError(w, http.StatusBadRequest, "GET /v1/blob needs a ?fp=<fingerprint> parameter")
+		fp, err := runcache.ParseFingerprint(r.URL.Query().Get("fp"))
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "GET /v1/blob needs a ?fp=<fingerprint> parameter: %v", err)
 			return
 		}
-		blob, ok := store.Load(runcache.Fingerprint(fp))
+		blob, ok := store.Load(fp)
 		if !ok {
 			s.writeError(w, http.StatusNotFound, "no stored blob for fingerprint %s", fp)
 			return
@@ -62,15 +63,16 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if req.Fingerprint == "" {
-			s.writeError(w, http.StatusBadRequest, "blob put needs a fingerprint")
+		fp, err := runcache.ParseFingerprint(req.Fingerprint)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, "blob put needs a fingerprint: %v", err)
 			return
 		}
 		if err := experiments.ValidateResultBlob(req.Blob); err != nil {
 			s.writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if err := store.Put(runcache.Fingerprint(req.Fingerprint), req.Features, req.Blob); err != nil {
+		if err := store.Put(fp, req.Features, req.Blob); err != nil {
 			s.writeError(w, http.StatusInternalServerError, "storing blob: %v", err)
 			return
 		}

@@ -218,13 +218,18 @@ func quantilesOf(lats []time.Duration) LatencyQuantiles {
 	}
 }
 
-// modeQuantiles folds per-mode latency samples into the report shape.
-func modeQuantiles(byMode map[string][]time.Duration) map[string]LatencyQuantiles {
-	out := make(map[string]LatencyQuantiles, len(byMode))
-	for k, lats := range byMode {
-		out[k] = quantilesOf(lats)
+// setLatencies sorts lats in place and fills the report's aggregate
+// latency profile, then the per-mode profiles from byMode.
+func (r *LoadReport) setLatencies(lats []time.Duration, byMode map[string][]time.Duration) {
+	q := quantilesOf(lats)
+	r.P50, r.P90, r.P95, r.P99 = q.P50, percentile(lats, 0.90), q.P95, q.P99
+	if n := len(lats); n > 0 {
+		r.Max = lats[n-1]
 	}
-	return out
+	r.ModeLatency = make(map[string]LatencyQuantiles, len(byMode))
+	for k, lats := range byMode {
+		r.ModeLatency[k] = quantilesOf(lats)
+	}
 }
 
 // RunLoad replays cfg against the daemon at base via /v1/simulate: the
@@ -296,15 +301,7 @@ func RunLoad(client *Client, cfg LoadConfig) (LoadReport, error) {
 	wg.Wait()
 	report.Elapsed = time.Since(start)
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	report.P50 = percentile(latencies, 0.50)
-	report.P90 = percentile(latencies, 0.90)
-	report.P95 = percentile(latencies, 0.95)
-	report.P99 = percentile(latencies, 0.99)
-	if n := len(latencies); n > 0 {
-		report.Max = latencies[n-1]
-	}
-	report.ModeLatency = modeQuantiles(modeLats)
+	report.setLatencies(latencies, modeLats)
 	return report, nil
 }
 
@@ -415,15 +412,7 @@ func RunEstimate(client *Client, cfg LoadConfig) (LoadReport, error) {
 	wg.Wait()
 	report.Elapsed = time.Since(start)
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	report.P50 = percentile(latencies, 0.50)
-	report.P90 = percentile(latencies, 0.90)
-	report.P95 = percentile(latencies, 0.95)
-	report.P99 = percentile(latencies, 0.99)
-	if n := len(latencies); n > 0 {
-		report.Max = latencies[n-1]
-	}
-	report.ModeLatency = modeQuantiles(modeLats)
+	report.setLatencies(latencies, modeLats)
 
 	// Accuracy spot-check: ask /v1/simulate for ground truth on a few of
 	// the points the surrogate answered. Cheap — these points are in the

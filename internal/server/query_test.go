@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,18 +17,17 @@ import (
 // in a temp dir, returning the store for direct inspection.
 func newWarehouseServer(t *testing.T, cfg Config) (*Server, *warehouse.Store, string) {
 	t.Helper()
-	eng, ws, err := experiments.NewWarehouseEngine(t.TempDir(), warehouse.Options{}, 0)
+	eng, ws, err := experiments.NewEngine(t.TempDir(), warehouse.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ws.Close() })
 	cfg.Engine = eng
-	cfg.Warehouse = ws
 	s, ts := newTestServer(t, cfg)
 	return s, ws, ts.URL
 }
 
-// TestQueryNotImplementedWithoutWarehouse: a flat-cache daemon answers 501
+// TestQueryNotImplementedWithoutWarehouse: an in-memory daemon answers 501
 // so clients can tell "no warehouse" from "no matches".
 func TestQueryNotImplementedWithoutWarehouse(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
@@ -126,6 +129,62 @@ func TestStatsCarriesWarehouse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st2.Warehouse != nil {
-		t.Error("flat-cache daemon reports a warehouse section")
+		t.Error("in-memory daemon reports a warehouse section")
 	}
+}
+
+// TestImportedLegacyDirQueriesIdentically: a warehouse filled through the
+// engine, written out as a legacy <fingerprint>.json directory and
+// imported into a fresh warehouse, answers /v1/query with the same bytes —
+// blobs travel verbatim and rows render in fingerprint order.
+func TestImportedLegacyDirQueriesIdentically(t *testing.T) {
+	native, nativeURL := filledWarehouseServer(t)
+
+	legacy := t.TempDir()
+	err := native.Iter(func(r warehouse.Record) error {
+		return os.WriteFile(filepath.Join(legacy, string(r.Fingerprint)+".json"), r.Blob, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, migrated, err := experiments.NewEngine(t.TempDir(), warehouse.Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { migrated.Close() })
+	if n, err := migrated.ImportDir(legacy); err != nil || n != native.Len() {
+		t.Fatalf("imported %d of %d records: %v", n, native.Len(), err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Engine: eng})
+
+	query := func(url string) []byte {
+		resp := postJSON(t, url+"/v1/query", `{"metrics":["upc","oc_fetch_ratio"]}`)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %s: %d %v", url, resp.StatusCode, err)
+		}
+		return body
+	}
+	want, got := query(nativeURL), query(ts.URL)
+	if len(want) == 0 || bytes.Count(want, []byte("\n")) != native.Len() {
+		t.Fatalf("native query returned %d bytes for %d records:\n%s", len(want), native.Len(), want)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("migrated query differs from native:\n%s\n--- vs ---\n%s", want, got)
+	}
+}
+
+// filledWarehouseServer serves a warehouse that its engine filled with a
+// few simulated points, returning the store and the server URL.
+func filledWarehouseServer(t *testing.T) (*warehouse.Store, string) {
+	t.Helper()
+	s, ws, url := newWarehouseServer(t, Config{Workers: 2})
+	for _, scheme := range []string{"baseline", "clasp", "f-pwac"} {
+		req := experiments.PointRequest{Workload: "bm_ds", Scheme: scheme, Warmup: 1_000, Measure: 4_000}.WithDefaults()
+		if _, _, err := req.Resolve(s.Engine()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ws, url
 }

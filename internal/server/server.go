@@ -44,15 +44,12 @@ type Config struct {
 	// MaxSweepPoints caps the points accepted per /v1/sweep call
 	// (default 1024).
 	MaxSweepPoints int
-	// Engine resolves points. Nil builds an in-process-only engine;
-	// attach one backed by a runcache.Dir or a warehouse to persist
-	// results.
+	// Engine resolves points. Nil builds an in-process-only engine. An
+	// engine backed by a warehouse (see experiments.NewEngine) persists
+	// results, and the server then also serves /v1/query, /v1/blob and
+	// /v1/estimate from that same store and adds its gauges to /v1/stats
+	// and /metrics. Without one those endpoints answer 501.
 	Engine *experiments.Engine
-	// Warehouse, when set, serves /v1/query and adds warehouse gauges to
-	// /v1/stats and /metrics. Pass the store backing Engine (see
-	// experiments.NewWarehouseEngine) so queries see exactly what the
-	// engine persists. Without one, /v1/query answers 501.
-	Warehouse *warehouse.Store
 	// EstimateConfidence gates /v1/estimate: surrogate predictions at or
 	// above it are served from the fast tier, below it fall through to
 	// real simulation (default experiments.DefaultEstimateConfidence).
@@ -111,9 +108,10 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	eng := cfg.Engine
 	if eng == nil {
-		eng, _ = experiments.NewEngine("", 0) // "" cannot fail: no directory to open
+		eng, _, _ = experiments.NewEngine("", warehouse.Options{}, 0) // "" cannot fail: no directory to open
 	}
-	s := &Server{cfg: cfg, eng: eng, ws: cfg.Warehouse, start: time.Now()}
+	ws, _ := eng.Store().(*warehouse.Store)
+	s := &Server{cfg: cfg, eng: eng, ws: ws, start: time.Now()}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth)
 	if s.ws != nil {
 		// Train the fast tier on whatever the store already holds, then
@@ -153,8 +151,8 @@ func (s *Server) Surrogate() *surrogate.Model { return s.sur }
 
 // Drain stops admitting simulations and blocks until in-flight and queued
 // work completes. Call after http.Server.Shutdown has stopped new
-// connections; with a cache directory attached every completed point is
-// already fsynced to its blob, so draining is all the flushing there is.
+// connections; with a warehouse attached every completed point is already
+// fsynced to its segment, so draining is all the flushing there is.
 func (s *Server) Drain() { s.pool.Drain() }
 
 // SamplingRequest re-exports the wire form of the interval-sampling knobs
@@ -589,7 +587,7 @@ type HealthzInfo struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Points is the stored design-point count: live warehouse records on a
 	// warehouse-backed daemon, otherwise the engine's process-lifetime
-	// unique-fingerprint count (a flat -cache dir keeps no cheap count).
+	// unique-fingerprint count.
 	Points int `json:"points"`
 	// Warehouse reports whether Points counts durable records.
 	Warehouse bool `json:"warehouse"`

@@ -153,9 +153,18 @@ func TestBackpressure429(t *testing.T) {
 		}(i)
 	}
 	<-started // worker busy; second request occupies the queue slot
+	// Wait until the second request holds the queue slot: a probe sent
+	// before it would be admitted instead and block on release forever.
+	deadline := time.Now().Add(2 * time.Second)
+	for len(s.pool.tasks) < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// Poll until the queue slot is actually taken, then expect 429.
 	var se *StatusError
-	deadline := time.Now().Add(2 * time.Second)
+	deadline = time.Now().Add(2 * time.Second)
 	for {
 		_, err := client.Simulate(req)
 		if errors.As(err, &se) && se.Code == http.StatusTooManyRequests {

@@ -10,8 +10,9 @@ import (
 	"uopsim/internal/runcache"
 )
 
-// ImportDir migrates a legacy flat blob directory (runcache.Dir: one
-// <fingerprint>.json file per point) into the store, returning how many
+// ImportDir migrates a legacy flat blob directory (one <fingerprint>.json
+// file per point, the store format of earlier releases) into the store,
+// returning how many
 // records were imported. Blobs travel verbatim — the stored bytes, and
 // therefore every engine read and query row rendered from them, are
 // byte-identical to what the flat dir served. Legacy blobs carry no
@@ -19,7 +20,8 @@ import (
 // answer fingerprint loads and unfiltered queries but not feature
 // predicates. Records already present in the warehouse are not
 // overwritten: the warehouse copy carries features, the import does not.
-// Quarantined (*.bad) and temporary files are skipped.
+// Only files named by a well-formed fingerprint are read; quarantined
+// (*.bad), temporary and any other files are skipped.
 func (s *Store) ImportDir(dir string) (int, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -28,11 +30,10 @@ func (s *Store) ImportDir(dir string) (int, error) {
 	sort.Strings(names) // stable import order → stable segment bytes
 	imported := 0
 	for _, name := range names {
-		base := strings.TrimSuffix(filepath.Base(name), ".json")
-		if strings.HasPrefix(base, "tmp-") {
+		fp, err := runcache.ParseFingerprint(strings.TrimSuffix(filepath.Base(name), ".json"))
+		if err != nil {
 			continue
 		}
-		fp := runcache.Fingerprint(base)
 		s.mu.Lock()
 		_, exists := s.idx[fp]
 		s.mu.Unlock()

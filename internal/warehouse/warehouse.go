@@ -1,15 +1,16 @@
-// Package warehouse is the simulator's results warehouse: an indexed,
-// compacting, size-bounded replacement for the flat one-JSON-file-per-
-// fingerprint cache directory. Records — a fingerprint, the design point's
-// canonical feature vector, and the PointResult blob — append to
-// length+CRC framed segment files; an in-memory index (rebuilt by replaying
+// Package warehouse is the simulator's results warehouse and its only
+// persistent store: indexed, compacting and size-bounded. Legacy flat
+// directories of <fingerprint>.json blobs import through ImportDir.
+// Records — a fingerprint, the design point's canonical feature vector,
+// and the PointResult blob — append to length+CRC framed segment files;
+// an in-memory index (rebuilt by replaying
 // the segments on open) serves point loads, and the feature vector answers
 // set queries ("UPC of every scheme at 2K-uop capacity") without decoding
 // every blob. A torn tail truncates cleanly on open, superseded and deleted
 // records are reclaimed by compaction, and an optional byte budget evicts
 // the least-recently-used records. warehouse.Store satisfies
 // runcache.Store, so the design-point engine, the uopsimd daemon, and the
-// experiment sweeps all run on it unchanged. See DESIGN.md §11.
+// experiment sweeps all persist through it. See DESIGN.md §11.
 package warehouse
 
 import (

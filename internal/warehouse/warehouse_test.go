@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -237,21 +238,21 @@ func TestQuarantineTombstones(t *testing.T) {
 
 func TestImportDir(t *testing.T) {
 	legacy := t.TempDir()
-	d, err := runcache.OpenDir(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := map[runcache.Fingerprint][]byte{}
 	for i := 0; i < 5; i++ {
 		blob := []byte(fmt.Sprintf(`{"i":%d}`, i))
 		want[fpN(i)] = blob
-		if err := d.Store(fpN(i), blob); err != nil {
+		if err := os.WriteFile(filepath.Join(legacy, string(fpN(i))+".json"), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Noise the import must skip: a quarantined blob and a temp file.
+	// Noise the import must skip: a quarantined blob, a temp file, and
+	// *.json files whose names are not fingerprints (uppercase hex, a
+	// short name).
 	os.WriteFile(filepath.Join(legacy, string(fpN(9))+".bad"), []byte("junk"), 0o644)
 	os.WriteFile(filepath.Join(legacy, "tmp-123.json"), []byte("junk"), 0o644)
+	os.WriteFile(filepath.Join(legacy, strings.Repeat("A", 64)+".json"), []byte("junk"), 0o644)
+	os.WriteFile(filepath.Join(legacy, "notes.json"), []byte("junk"), 0o644)
 
 	s := mustOpen(t, t.TempDir(), Options{})
 	if err := s.Put(fpN(0), runcache.Features{{Key: "k", Value: "v"}}, want[fpN(0)]); err != nil {
@@ -261,8 +262,11 @@ func TestImportDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 { // fp 0 already present, .bad and tmp skipped
+	if n != 4 { // fp 0 already present, .bad, tmp and non-fingerprints skipped
 		t.Fatalf("imported %d, want 4", n)
+	}
+	if s.Len() != 5 {
+		t.Fatalf("warehouse holds %d records after import, want 5", s.Len())
 	}
 	for fp, blob := range want {
 		got, ok := s.Load(fp)

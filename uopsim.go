@@ -78,8 +78,8 @@ type ExperimentRun = experiments.Run
 
 // RunEngine is the shared design-point engine: attach one to
 // ExperimentParams.Engine and every design point an experiment submits is
-// fingerprinted, simulated at most once per process, and — with a cache
-// directory — persisted as a JSON blob keyed by that fingerprint. The
+// fingerprinted, simulated at most once per process, and — with a
+// warehouse — persisted as a JSON blob keyed by that fingerprint. The
 // fingerprint covers the full pipeline configuration, the workload profile
 // (including its generation seed), the run lengths, and the simulator and
 // workload-generator version strings; bumping a version is the cache
@@ -93,15 +93,6 @@ type RunEngineStats = runcache.Stats
 // DesignPoint names one (workload, scheme, capacity) simulation for
 // RunDesignPoints.
 type DesignPoint = experiments.Point
-
-// NewRunEngine builds a design-point engine. cacheDir == "" keeps results
-// in-process only; otherwise completed points persist under cacheDir and
-// later invocations load them back (corrupt blobs are re-simulated, never
-// trusted). verifyEvery > 0 re-simulates every n-th disk-served point and
-// fails it unless its blob matches the fresh result bit-for-bit.
-func NewRunEngine(cacheDir string, verifyEvery int) (*RunEngine, error) {
-	return experiments.NewEngine(cacheDir, verifyEvery)
-}
 
 // ResultsWarehouse is the indexed design-point store: an append-only
 // segment file log keyed by fingerprint, carrying each point's feature
@@ -119,13 +110,17 @@ type WarehouseQuery = warehouse.Query
 // WarehouseStats are the warehouse's gauges and activity counters.
 type WarehouseStats = warehouse.Stats
 
-// NewWarehouseRunEngine builds a design-point engine persisted in an
-// indexed warehouse instead of a flat blob directory. The returned store is
-// the caller's to query and Close; it is the same store the engine writes,
-// so a query sees every point the engine has resolved. Migrate a legacy
-// flat cache dir into it with ResultsWarehouse.ImportDir.
-func NewWarehouseRunEngine(dir string, opts WarehouseOptions, verifyEvery int) (*RunEngine, *ResultsWarehouse, error) {
-	return experiments.NewWarehouseEngine(dir, opts, verifyEvery)
+// NewRunEngine builds a design-point engine. dir == "" keeps results
+// in-process only and returns a nil warehouse; otherwise completed points
+// persist in an indexed warehouse at dir and later invocations load them
+// back (corrupt blobs are re-simulated, never trusted). The returned store
+// is the caller's to query and Close; it is the same store the engine
+// writes, so a query sees every point the engine has resolved.
+// verifyEvery > 0 re-simulates every n-th stored point and fails it unless
+// its blob matches the fresh result bit-for-bit. Migrate a legacy flat
+// blob directory into the warehouse with ResultsWarehouse.ImportDir.
+func NewRunEngine(dir string, opts WarehouseOptions, verifyEvery int) (*RunEngine, *ResultsWarehouse, error) {
+	return experiments.NewEngine(dir, opts, verifyEvery)
 }
 
 // RunDesignPoints runs one simulation per point, in parallel, deduped

@@ -22,12 +22,16 @@ var metricPathRE = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
 // same literal registered twice on the same receiver is reported at lint
 // time.
 var registerMethods = map[string]bool{
-	"Counter":         true,
-	"RegisterCounter": true,
-	"RegisterGauge":   true,
-	"RegisterMean":    true,
-	"RegisterHist":    true,
-	"RegisterDist":    true,
+	"Counter":             true,
+	"RegisterCounter":     true,
+	"RegisterCounterFunc": true,
+	"RegisterGauge":       true,
+	"RegisterMean":        true,
+	"RegisterHist":        true,
+	"RegisterDist":        true,
+	"RegisterLockedHist":  true,
+	"RegisterLockedMean":  true,
+	"Family":              true,
 }
 
 // pathMethods additionally take a metric path (or scope prefix) first

@@ -3,7 +3,11 @@
 // resolution works exactly as in the simulator packages.
 package statsfix
 
-import "uopsim/internal/stats"
+import (
+	"sync/atomic"
+
+	"uopsim/internal/stats"
+)
 
 // Register exercises the grammar and duplicate rules.
 func Register(r *stats.Registry) {
@@ -44,7 +48,7 @@ func Warehouse(r *stats.Registry, s stats.Snapshot) float64 {
 }
 
 // Estimate mirrors the /v1/estimate fast tier's instrumentation: the
-// nested server.estimate counters and histogram from server/metrics.go and
+// nested server.estimate counters and histogram uopsimd registers and
 // the surrogate gauges from surrogate.RegisterStats, plus the snapshot
 // reads a dashboard would issue against them.
 func Estimate(r *stats.Registry, s stats.Snapshot) float64 {
@@ -61,4 +65,25 @@ func Estimate(r *stats.Registry, s stats.Snapshot) float64 {
 	v += s.Value("server.estimate.latency_us")
 	v += s.Value("server.estimate.latency-us") // want `metric path "server\.estimate\.latency-us" does not match`
 	return v
+}
+
+// Service mirrors the concurrency-safe registrations the daemon and the
+// gateway make: atomic counters read through functions, locked histograms
+// and their means, and labelled counter families.
+func Service(r *stats.Registry) {
+	var n atomic.Uint64
+	sc := r.Scope("server")
+	sc.RegisterCounterFunc("admitted", func() uint64 { return n.Load() })
+	sc.RegisterCounterFunc("timed out", func() uint64 { return n.Load() }) // want `metric path "timed out" does not match`
+	sc.RegisterCounterFunc("admitted", func() uint64 { return n.Load() })  // want `metric path "admitted" is registered twice on sc`
+	lat := stats.NewLockedHist(1, 10)
+	sc.RegisterLockedHist("latency_ms", lat)
+	sc.RegisterLockedHist("latency.ms.", lat) // want `metric path "latency\.ms\." does not match`
+	sc.RegisterLockedHist("latency_ms", lat)  // want `metric path "latency_ms" is registered twice on sc`
+	sc.RegisterLockedMean("latency_mean_ms", lat)
+	sc.RegisterLockedMean("latencyMean", lat)     // want `metric path "latencyMean" does not match`
+	sc.RegisterLockedMean("latency_mean_ms", lat) // want `metric path "latency_mean_ms" is registered twice on sc`
+	r.Family("simulations_total", "mode", "sampled", "full")
+	r.Family("simulations-total", "mode", "sampled", "full") // want `metric path "simulations-total" does not match`
+	r.Family("simulations_total", "mode", "sampled", "full") // want `metric path "simulations_total" is registered twice on r`
 }

@@ -203,10 +203,10 @@ func (g *Gateway) recordServed(fp runcache.Fingerprint, pt experiments.PointRequ
 	g.placed[fp] = placement{node: servedBy, pt: pt}
 	g.mu.Unlock()
 	if g.mem.alive(owner) {
-		g.met.inc(cPeerReads)
+		g.met.peerReads.Add(1)
 		g.enqueueRepl(replJob{fp: fp, from: servedBy, to: owner, pt: pt})
 	} else {
-		g.met.inc(cSpills)
+		g.met.spills.Add(1)
 	}
 }
 
@@ -268,10 +268,10 @@ func (g *Gateway) replicate(j replJob) {
 	}
 	g.mu.Unlock()
 	if err != nil {
-		g.met.inc(cReplFailed)
+		g.met.replFailed.Add(1)
 		return
 	}
-	g.met.inc(cReplications)
+	g.met.replications.Add(1)
 }
 
 // onRejoin is the membership's recovery hook: every placement whose ring
@@ -331,7 +331,7 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusMethodNotAllowed, "POST a SimulateRequest to this endpoint")
 		return
 	}
-	g.met.inc(cRequests)
+	g.met.requests.Add(1)
 	var req server.SimulateRequest
 	if err := decodeJSON(w, r, simulateBodyLimit, &req); err != nil {
 		g.writeError(w, http.StatusBadRequest, "%v", err)
@@ -350,7 +350,7 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	cands := g.candidates(fp)
 	for i, name := range cands {
 		if i > 0 {
-			g.met.inc(cRetries)
+			g.met.retries.Add(1)
 		}
 		t0 := time.Now()
 		resp, err := g.shards[name].client.Simulate(server.SimulateRequest{PointRequest: pt, TimeoutMS: req.TimeoutMS})
@@ -361,13 +361,13 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if se, ok := passThrough(err); ok {
-			g.met.inc(cErrors)
+			g.met.errors.Add(1)
 			g.forwardStatusError(w, se)
 			return
 		}
 		g.mem.reportFailure(name)
 	}
-	g.met.inc(cErrors)
+	g.met.errors.Add(1)
 	g.writeError(w, http.StatusBadGateway, "no live shard could serve the point (%d tried, %d/%d nodes alive)",
 		len(cands), g.mem.aliveCount(), g.ring.Len())
 }
@@ -377,7 +377,7 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusMethodNotAllowed, "POST an EstimateRequest to this endpoint")
 		return
 	}
-	g.met.inc(cRequests)
+	g.met.requests.Add(1)
 	var req server.EstimateRequest
 	if err := decodeJSON(w, r, simulateBodyLimit, &req); err != nil {
 		g.writeError(w, http.StatusBadRequest, "%v", err)
@@ -396,7 +396,7 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	cands := g.candidates(fp)
 	for i, name := range cands {
 		if i > 0 {
-			g.met.inc(cRetries)
+			g.met.retries.Add(1)
 		}
 		t0 := time.Now()
 		fwd := req
@@ -413,13 +413,13 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if se, ok := passThrough(err); ok {
-			g.met.inc(cErrors)
+			g.met.errors.Add(1)
 			g.forwardStatusError(w, se)
 			return
 		}
 		g.mem.reportFailure(name)
 	}
-	g.met.inc(cErrors)
+	g.met.errors.Add(1)
 	g.writeError(w, http.StatusBadGateway, "no live shard could serve the estimate (%d tried, %d/%d nodes alive)",
 		len(cands), g.mem.aliveCount(), g.ring.Len())
 }
@@ -434,7 +434,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusMethodNotAllowed, "POST a SweepRequest to this endpoint")
 		return
 	}
-	g.met.inc(cRequests)
+	g.met.requests.Add(1)
 	var req server.SweepRequest
 	if err := decodeJSON(w, r, g.sweepBodyLimit(), &req); err != nil {
 		g.writeError(w, http.StatusBadRequest, "%v", err)
@@ -521,7 +521,7 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 			groups[target] = append(groups[target], idx)
 		}
 		for _, idx := range exhausted {
-			g.met.inc(cErrors)
+			g.met.errors.Add(1)
 			lines <- server.SweepLine{
 				Index:    idx,
 				Workload: pts[idx].Workload,
@@ -559,8 +559,8 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 					if sl.Error == "" {
 						g.recordServed(fps[idx], pts[idx], name)
 					}
-					g.met.inc(cSweepLines)
-					g.met.countNodeLine(name)
+					g.met.sweepLines.Add(1)
+					g.met.nodeRequests.Inc(name)
 					lines <- sl
 					return nil
 				})
@@ -569,7 +569,7 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 					// suspect; whatever it left unanswered goes back into
 					// the next round.
 					g.mem.reportFailure(name)
-					g.met.inc(cRetries)
+					g.met.retries.Add(1)
 				}
 			}(name, idxs)
 		}
@@ -587,7 +587,7 @@ func (g *Gateway) scatterSweep(pts []experiments.PointRequest, fps []runcache.Fi
 	// Anything still pending exhausted the round bound (every shard tried
 	// or down): emit error lines so the caller gets one line per point.
 	for _, idx := range pending {
-		g.met.inc(cErrors)
+		g.met.errors.Add(1)
 		lines <- server.SweepLine{
 			Index:    idx,
 			Workload: pts[idx].Workload,
@@ -616,7 +616,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusMethodNotAllowed, "POST a QueryRequest to this endpoint")
 		return
 	}
-	g.met.inc(cRequests)
+	g.met.requests.Add(1)
 	var q server.QueryRequest
 	if err := decodeJSON(w, r, simulateBodyLimit, &q); err != nil {
 		g.writeError(w, http.StatusBadRequest, "%v", err)
@@ -668,12 +668,12 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		merged = append(merged, results[i].rows...)
 	}
 	if badRequest != nil {
-		g.met.inc(cErrors)
+		g.met.errors.Add(1)
 		g.forwardStatusError(w, badRequest)
 		return
 	}
 	if reached == 0 {
-		g.met.inc(cErrors)
+		g.met.errors.Add(1)
 		g.writeError(w, http.StatusBadGateway, "no shard could serve the query (%d/%d nodes alive)",
 			g.mem.aliveCount(), g.ring.Len())
 		return
@@ -780,8 +780,14 @@ func (g *Gateway) statsResponse() StatsResponse {
 		Nodes:         make([]NodeStatus, 0, len(g.names)),
 		UptimeSeconds: time.Since(g.start).Seconds(),
 	}
-	resp.Gateway.Requests, resp.Gateway.Errors, resp.Gateway.Spills, resp.Gateway.PeerReads,
-		resp.Gateway.Replications, resp.Gateway.ReplFailed, resp.Gateway.SweepLines, resp.Gateway.Retries = g.met.totals()
+	resp.Gateway.Requests = g.met.requests.Load()
+	resp.Gateway.Errors = g.met.errors.Load()
+	resp.Gateway.Spills = g.met.spills.Load()
+	resp.Gateway.PeerReads = g.met.peerReads.Load()
+	resp.Gateway.Replications = g.met.replications.Load()
+	resp.Gateway.ReplFailed = g.met.replFailed.Load()
+	resp.Gateway.SweepLines = g.met.sweepLines.Load()
+	resp.Gateway.Retries = g.met.retries.Load()
 	resp.Gateway.Markdowns, resp.Gateway.Rejoins, resp.Gateway.ProbeRounds = g.mem.counters()
 	g.mu.Lock()
 	resp.Gateway.PlacedPoints = len(g.placed)
@@ -807,14 +813,14 @@ func (g *Gateway) statsResponse() StatsResponse {
 	}
 	wg.Wait()
 	for i, name := range g.names {
-		nv := g.met.nodeSnapshot(name)
+		q := g.met.nodeLatency[name].Quantiles(0.50, 0.95, 0.99)
 		ns := NodeStatus{
 			Name:         name,
-			Requests:     nv.requests,
-			Errors:       nv.errors,
-			LatencyP50MS: nv.p50ms,
-			LatencyP95MS: nv.p95ms,
-			LatencyP99MS: nv.p99ms,
+			Requests:     g.met.nodeRequests.Value(name),
+			Errors:       g.met.nodeErrors.Value(name),
+			LatencyP50MS: q[0],
+			LatencyP95MS: q[1],
+			LatencyP99MS: q[2],
 		}
 		if h, ok := g.mem.healthOf(name); ok {
 			ns.Alive = h.Alive
@@ -870,7 +876,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.met.writePrometheus(w)
+	g.met.reg.Snapshot().WritePrometheus(w, "uopgate")
 }
 
 // simulateBodyLimit matches the daemon's single-point body bound.

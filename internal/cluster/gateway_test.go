@@ -214,7 +214,7 @@ func TestGatewaySpillReadThroughAndReplication(t *testing.T) {
 	if resp.Resolution != "simulated" {
 		t.Fatalf("spill resolution = %s, want simulated", resp.Resolution)
 	}
-	if _, _, spills, _, _, _, _, _ := gw.met.totals(); spills == 0 {
+	if gw.met.spills.Load() == 0 {
 		t.Fatal("no spill counted after off-owner serve")
 	}
 	if owner.srv.Engine().Stats().Simulated != 0 {
@@ -225,10 +225,7 @@ func TestGatewaySpillReadThroughAndReplication(t *testing.T) {
 	// home.
 	owner.fl.setDown(false)
 	waitFor(t, "owner rejoin", func() bool { return gw.mem.alive(owner.url) })
-	waitFor(t, "replication", func() bool {
-		_, _, _, _, repl, _, _, _ := gw.met.totals()
-		return repl >= 1
-	})
+	waitFor(t, "replication", func() bool { return gw.met.replications.Load() >= 1 })
 
 	// The owner now serves its point from the replicated blob: a disk hit,
 	// not a re-simulation — the cluster-wide dedupe held through the

@@ -91,7 +91,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.met.inc(cEstRequests)
+	s.met.estRequests.Add(1)
 	threshold := s.cfg.EstimateConfidence
 	if req.MinConfidence > 0 {
 		threshold = req.MinConfidence

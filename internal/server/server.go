@@ -320,7 +320,7 @@ func (s *Server) requestContext(parent context.Context, timeoutMS int64) (contex
 // resolution latency. Clamped to [1s, 60s]; before any completion the
 // estimate is a flat second.
 func (s *Server) retryAfter() string {
-	mean := s.met.meanLatency()
+	mean := time.Duration(s.met.latency.Mean() * float64(time.Millisecond))
 	if mean <= 0 {
 		mean = time.Second
 	}
@@ -360,26 +360,26 @@ func (s *Server) resolveOne(ctx context.Context, pt experiments.PointRequest, wa
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrSaturated):
-			s.met.inc(cRejected)
+			s.met.rejected.Add(1)
 			return nil, http.StatusTooManyRequests, err
 		case errors.Is(err, ErrDraining):
-			s.met.inc(cRejectedDrain)
+			s.met.rejectedDrain.Add(1)
 			return nil, http.StatusServiceUnavailable, err
 		default: // deadline expired while blocked on admission
-			s.met.inc(cTimeouts)
+			s.met.timeouts.Add(1)
 			return nil, http.StatusGatewayTimeout, fmt.Errorf("deadline expired awaiting admission: %w", err)
 		}
 	}
-	s.met.inc(cAdmitted)
+	s.met.admitted.Add(1)
 	select {
 	case <-t.done:
 	case <-ctx.Done():
-		s.met.inc(cTimeouts)
+		s.met.timeouts.Add(1)
 		return nil, http.StatusGatewayTimeout, fmt.Errorf(
 			"deadline exceeded after %dms; a simulation that was already executing may still finish and warm the cache for a retry", time.Since(start).Milliseconds())
 	}
 	if !t.ran {
-		s.met.inc(cExpired)
+		s.met.expired.Add(1)
 		return nil, http.StatusGatewayTimeout, fmt.Errorf("deadline expired before a worker picked the request up")
 	}
 	if rerr != nil {
@@ -537,31 +537,29 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) statsResponse() StatsResponse {
 	m := s.met
-	m.mu.Lock()
+	sampled, full := m.modes.Value("sampled"), m.modes.Value("full")
 	pool := PoolStats{
 		Workers:          s.pool.workers,
 		QueueCapacity:    cap(s.pool.tasks),
 		QueueDepth:       len(s.pool.tasks),
 		Inflight:         int(s.pool.inflight.Load()),
-		Admitted:         m.admitted.Value(),
-		Rejected:         m.rejected.Value(),
-		RejectedDraining: m.rejectedDrain.Value(),
-		Completed:        m.completed.Value(),
-		Failed:           m.failed.Value(),
-		Expired:          m.expired.Value(),
-		Timeouts:         m.timeouts.Value(),
+		Admitted:         m.admitted.Load(),
+		Rejected:         m.rejected.Load(),
+		RejectedDraining: m.rejectedDrain.Load(),
+		Completed:        sampled + full,
+		Failed:           m.failed.Load(),
+		Expired:          m.expired.Load(),
+		Timeouts:         m.timeouts.Load(),
 	}
-	modes := SimulationModes{Sampled: m.simSampled.Value(), Full: m.simFull.Value()}
 	est := EstimateStats{
-		Requests:    m.estRequests.Value(),
-		Served:      m.estServed.Value(),
-		Fallthrough: m.estFallthrough.Value(),
+		Requests:    m.estRequests.Load(),
+		Served:      m.estServed.Load(),
+		Fallthrough: m.estFallthrough.Load(),
 	}
-	m.mu.Unlock()
 	resp := StatsResponse{
 		Engine:        s.eng.Stats(),
 		Pool:          pool,
-		Simulations:   modes,
+		Simulations:   SimulationModes{Sampled: sampled, Full: full},
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 	if s.ws != nil {
@@ -614,11 +612,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.snapshot().WritePrometheus(w, "uopsimd")
-	// The registry's exposition has no label support; the per-mode split is
-	// the one place a label is the idiomatic shape, so append it by hand.
-	sampled, full := s.met.modes()
-	fmt.Fprintf(w, "# TYPE uopsimd_simulations_total counter\n")
-	fmt.Fprintf(w, "uopsimd_simulations_total{mode=\"sampled\"} %d\n", sampled)
-	fmt.Fprintf(w, "uopsimd_simulations_total{mode=\"full\"} %d\n", full)
+	s.met.reg.Snapshot().WritePrometheus(w, "uopsimd")
 }

@@ -24,11 +24,14 @@ const (
 	KindHist
 	// KindDist is an exact small-integer-key distribution.
 	KindDist
+	// KindFamily is a set of counters told apart by one label's value.
+	KindFamily
 )
 
-var kindNames = [...]string{"counter", "gauge", "mean", "hist", "dist"}
+var kindNames = [...]string{"counter", "gauge", "mean", "hist", "dist", "family"}
 
-// String names the kind ("counter", "gauge", "mean", "hist", "dist").
+// String names the kind ("counter", "gauge", "mean", "hist", "dist",
+// "family").
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
@@ -36,19 +39,12 @@ func (k Kind) String() string {
 	return "kind?"
 }
 
-// Hist is the registry-facing name of the bucketed histogram instrument.
-type Hist = Histogram
-
-// instrument binds one dotted path to one live instrument. Exactly one of
-// the typed pointers is set, selected by kind.
+// instrument binds one dotted path to one live instrument; read fills a
+// sample's value fields from its current state, outside the registry lock.
 type instrument struct {
-	path    string
-	kind    Kind
-	counter *Counter
-	mean    *Mean
-	hist    *Histogram
-	dist    *Distribution
-	gauge   func() float64
+	path string
+	kind Kind
+	read func(*Sample)
 }
 
 // Registry is a hierarchical collection of named instruments. Components
@@ -59,12 +55,12 @@ type instrument struct {
 // stable-ordered value that the JSON and Prometheus exporters serialize.
 //
 // The registry structure — registration, lookup, and the snapshot's
-// ordering state — is goroutine-safe behind one mutex. Instrument values
-// are not: counters and histograms are plain values by design (the cycle
-// loop increments them with no lock and no indirection), so concurrent
-// mutation and snapshotting still needs external synchronization, which
-// the serving layer provides (see uopsimd's metrics.mu). Single-goroutine
-// simulators pay one uncontended lock per registration/snapshot, never on
+// ordering state — is goroutine-safe behind one mutex. The plain Counter,
+// Mean, Histogram and Distribution are single-goroutine by design (the
+// cycle loop bumps them with no lock), so a simulator snapshots from its
+// own goroutine; services register the concurrency-safe forms instead
+// (atomic counters via RegisterCounterFunc, CounterFamily, LockedHist).
+// Simulators pay one uncontended lock per registration/snapshot, never on
 // the hot path.
 type Registry struct {
 	mu     sync.Mutex
@@ -103,55 +99,86 @@ func (r *Registry) Counter(path string) *Counter {
 // embed plain-value counters register pointers to them so the hot path needs
 // no registry involvement.
 func (r *Registry) RegisterCounter(path string, c *Counter) {
-	r.add(&instrument{path: path, kind: KindCounter, counter: c})
+	r.RegisterCounterFunc(path, c.Value)
+}
+
+// RegisterCounterFunc registers a counter whose count is read through fn
+// at snapshot time — for a concurrency-safe counter, an atomic.Uint64's
+// Load, or a count derived from other counters.
+func (r *Registry) RegisterCounterFunc(path string, fn func() uint64) {
+	r.add(&instrument{path: path, kind: KindCounter, read: func(s *Sample) {
+		s.Count = fn()
+		s.Value = float64(s.Count)
+	}})
 }
 
 // RegisterGauge registers a derived value read through fn at snapshot time.
 func (r *Registry) RegisterGauge(path string, fn func() float64) {
-	r.add(&instrument{path: path, kind: KindGauge, gauge: fn})
+	r.add(&instrument{path: path, kind: KindGauge, read: func(s *Sample) { s.Value = fn() }})
 }
 
 // RegisterMean registers an existing running mean at path.
 func (r *Registry) RegisterMean(path string, m *Mean) {
-	r.add(&instrument{path: path, kind: KindMean, mean: m})
+	r.add(&instrument{path: path, kind: KindMean, read: m.read})
 }
 
 // RegisterHist registers an existing histogram at path.
 func (r *Registry) RegisterHist(path string, h *Histogram) {
-	r.add(&instrument{path: path, kind: KindHist, hist: h})
+	r.add(&instrument{path: path, kind: KindHist, read: h.read})
 }
 
 // RegisterDist registers an existing distribution at path.
 func (r *Registry) RegisterDist(path string, d *Distribution) {
-	r.add(&instrument{path: path, kind: KindDist, dist: d})
+	r.add(&instrument{path: path, kind: KindDist, read: d.read})
+}
+
+// RegisterLockedHist registers a locked histogram at path; Snapshot reads
+// it under the histogram's own lock.
+func (r *Registry) RegisterLockedHist(path string, h *LockedHist) {
+	r.add(&instrument{path: path, kind: KindHist, read: h.readHist})
+}
+
+// RegisterLockedMean registers the running mean a locked histogram keeps
+// of its samples at path, read under the same lock as the histogram.
+func (r *Registry) RegisterLockedMean(path string, h *LockedHist) {
+	r.add(&instrument{path: path, kind: KindMean, read: h.readMean})
+}
+
+// Family registers a new counter family at path: one concurrency-safe
+// counter per label value, the values fixed here.
+func (r *Registry) Family(path, label string, values ...string) *CounterFamily {
+	f := newCounterFamily(label, values)
+	r.add(&instrument{path: path, kind: KindFamily, read: f.read})
+	return f
 }
 
 // CounterValue returns the live value of the counter at path. It panics when
 // the path is unregistered or not a counter: lookups are internal wiring, so
 // a miss is a programming error, not a runtime condition.
 func (r *Registry) CounterValue(path string) uint64 {
-	r.mu.Lock()
-	in := r.byPath[path]
-	r.mu.Unlock()
-	if in == nil || in.kind != KindCounter {
-		panic(fmt.Sprintf("stats: %q is not a registered counter", path))
-	}
-	return in.counter.Value()
+	return r.read(path, KindCounter).Count
 }
 
 // GaugeValue returns the live value of the gauge at path (same panic
 // contract as CounterValue).
 func (r *Registry) GaugeValue(path string) float64 {
+	return r.read(path, KindGauge).Value
+}
+
+// read looks up the instrument at path, which must be of kind k, and reads
+// it. The read runs after unlock: a gauge closure may read arbitrary
+// locked subsystem state (engine stats, warehouse stats) and must not be
+// able to deadlock back into this registry.
+func (r *Registry) read(path string, k Kind) Sample {
 	r.mu.Lock()
 	in := r.byPath[path]
 	r.mu.Unlock()
-	if in == nil || in.kind != KindGauge {
-		panic(fmt.Sprintf("stats: %q is not a registered gauge", path))
+	if in == nil || in.kind != k {
+		panic(fmt.Sprintf("stats: %q is not a registered %s", path, k))
 	}
-	// The gauge closure runs after unlock: it may read arbitrary locked
-	// subsystem state (engine stats, warehouse stats) and must not be able
-	// to deadlock back into this registry.
-	return in.gauge()
+	s := Sample{Path: path, Kind: k.String()}
+	in.read(&s)
+	return s
 }
 
 // Scope returns a registration view that prefixes every path with
@@ -193,6 +220,21 @@ func (s Scope) RegisterHist(path string, h *Histogram) { s.r.RegisterHist(s.pref
 // RegisterDist registers an existing distribution under the scope.
 func (s Scope) RegisterDist(path string, d *Distribution) { s.r.RegisterDist(s.prefix+path, d) }
 
+// RegisterCounterFunc registers a function-read counter under the scope.
+func (s Scope) RegisterCounterFunc(path string, fn func() uint64) {
+	s.r.RegisterCounterFunc(s.prefix+path, fn)
+}
+
+// RegisterLockedHist registers a locked histogram under the scope.
+func (s Scope) RegisterLockedHist(path string, h *LockedHist) {
+	s.r.RegisterLockedHist(s.prefix+path, h)
+}
+
+// RegisterLockedMean registers a locked histogram's mean under the scope.
+func (s Scope) RegisterLockedMean(path string, h *LockedHist) {
+	s.r.RegisterLockedMean(s.prefix+path, h)
+}
+
 // Bucket is one histogram or distribution cell in a snapshot. For
 // histograms Le is the bucket's inclusive upper bound (math.MaxInt64 marks
 // the overflow bucket); for distributions Le is the exact observed key.
@@ -201,15 +243,26 @@ type Bucket struct {
 	Count uint64 `json:"count"`
 }
 
+// Series is one label value's count in a counter family's snapshot: the
+// Prometheus series name{Label="Value"}.
+type Series struct {
+	Label string `json:"label"`
+	Value string `json:"value"`
+	Count uint64 `json:"count"`
+}
+
 // Sample is one instrument's state at snapshot time. Counter counts are
 // carried in Count exactly (Value mirrors them as float64 for uniform
-// consumers); gauges and means carry Value only.
+// consumers); gauges carry Value only, means their mean in Value and
+// sample count in Count. A counter family carries one Series per label
+// value, with Count their sum.
 type Sample struct {
 	Path    string   `json:"path"`
 	Kind    string   `json:"kind"`
 	Value   float64  `json:"value"`
 	Count   uint64   `json:"count,omitempty"`
 	Buckets []Bucket `json:"buckets,omitempty"`
+	Series  []Series `json:"series,omitempty"`
 }
 
 // Snapshot is a stable-ordered (ascending by path) copy of every registered
@@ -235,44 +288,40 @@ func (r *Registry) Snapshot() Snapshot {
 	snap := make([]*instrument, len(insts))
 	copy(snap, insts)
 	r.mu.Unlock()
-	out := Snapshot{Samples: make([]Sample, 0, len(snap))}
-	for _, in := range snap {
-		s := Sample{Path: in.path, Kind: in.kind.String()}
-		switch in.kind {
-		case KindCounter:
-			n := in.counter.Value()
-			s.Count = n
-			s.Value = float64(n)
-		case KindGauge:
-			s.Value = in.gauge()
-		case KindMean:
-			s.Value = in.mean.Value()
-			s.Count = in.mean.Count()
-		case KindHist:
-			h := in.hist
-			s.Count = h.Total()
-			s.Value = float64(h.Total())
-			s.Buckets = make([]Bucket, h.Buckets())
-			for i := 0; i < h.Buckets(); i++ {
-				le := int64(math.MaxInt64)
-				if i < len(h.bounds) {
-					le = int64(h.bounds[i])
-				}
-				s.Buckets[i] = Bucket{Le: le, Count: h.Count(i)}
-			}
-		case KindDist:
-			d := in.dist
-			s.Count = d.Total()
-			s.Value = float64(d.Total())
-			keys := d.Keys()
-			s.Buckets = make([]Bucket, 0, len(keys))
-			for _, k := range keys {
-				s.Buckets = append(s.Buckets, Bucket{Le: int64(k), Count: d.counts[k]})
-			}
-		}
-		out.Samples = append(out.Samples, s)
+	out := Snapshot{Samples: make([]Sample, len(snap))}
+	for i, in := range snap {
+		out.Samples[i] = Sample{Path: in.path, Kind: in.kind.String()}
+		in.read(&out.Samples[i])
 	}
 	return out
+}
+
+func (m *Mean) read(s *Sample) {
+	s.Value = m.Value()
+	s.Count = m.Count()
+}
+
+func (h *Histogram) read(s *Sample) {
+	s.Count = h.Total()
+	s.Value = float64(h.Total())
+	s.Buckets = make([]Bucket, h.Buckets())
+	for i := range s.Buckets {
+		le := int64(math.MaxInt64)
+		if i < len(h.bounds) {
+			le = int64(h.bounds[i])
+		}
+		s.Buckets[i] = Bucket{Le: le, Count: h.Count(i)}
+	}
+}
+
+func (d *Distribution) read(s *Sample) {
+	s.Count = d.Total()
+	s.Value = float64(d.Total())
+	keys := d.Keys()
+	s.Buckets = make([]Bucket, 0, len(keys))
+	for _, k := range keys {
+		s.Buckets = append(s.Buckets, Bucket{Le: int64(k), Count: d.counts[k]})
+	}
 }
 
 // Sample returns the sample at path, if present.
@@ -357,7 +406,8 @@ func promName(namespace, path string) string {
 // WritePrometheus serializes the snapshot in the Prometheus text exposition
 // format. Counters and gauges map directly; means become summaries
 // (_sum/_count); histograms become cumulative-bucket histograms; exact
-// distributions are emitted as one labeled gauge series per key.
+// distributions are emitted as one labeled gauge series per key; counter
+// families as one labeled counter series per label value.
 func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 	for _, sm := range s.Samples {
 		name := promName(namespace, sm.Path)
@@ -392,6 +442,15 @@ func (s Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 			}
 			for _, b := range sm.Buckets {
 				if _, err = fmt.Fprintf(w, "%s{key=\"%d\"} %d\n", name, b.Le, b.Count); err != nil {
+					return err
+				}
+			}
+		case "family":
+			if _, err = fmt.Fprintf(w, "# TYPE %s counter\n", name); err != nil {
+				return err
+			}
+			for _, sr := range sm.Series {
+				if _, err = fmt.Fprintf(w, "%s{%s=%q} %d\n", name, sr.Label, sr.Value, sr.Count); err != nil {
 					return err
 				}
 			}

@@ -2,9 +2,11 @@ package stats
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -140,17 +142,30 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	h := NewHistogram(1, 2)
 	h.Observe(1)
 	r.RegisterHist("a.h", h)
+	fam := r.Family("a.modes", "mode", "sampled", "full")
+	fam.Inc("full")
+	fam.Inc("full")
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
+	back, err := DecodeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatalf("decoding: %v", err)
 	}
 	if got := back.Counter("a.b"); got != 42 {
 		t.Errorf("round-tripped counter = %d, want 42", got)
+	}
+	sm, _ := back.Sample("a.modes")
+	wantSeries := []Series{{Label: "mode", Value: "sampled", Count: 0}, {Label: "mode", Value: "full", Count: 2}}
+	if sm.Kind != "family" || sm.Count != 2 || len(sm.Series) != 2 || sm.Series[0] != wantSeries[0] || sm.Series[1] != wantSeries[1] {
+		t.Errorf("round-tripped family = %+v, want kind family, count 2, series %+v", sm, wantSeries)
+	}
+	// Non-family samples add no field: snapshots written before families
+	// existed decode unchanged.
+	if strings.Count(buf.String(), `"series"`) != 1 {
+		t.Errorf("series field outside the family sample:\n%s", buf.String())
 	}
 }
 
@@ -169,6 +184,8 @@ func TestSnapshotPrometheusFormat(t *testing.T) {
 	var d Distribution
 	d.Observe(2)
 	r.RegisterDist("entries_per_pw", &d)
+	fam := r.Family("simulations_total", "mode", "sampled", "full")
+	fam.Inc("full")
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&buf, "uopsim"); err != nil {
@@ -187,6 +204,9 @@ func TestSnapshotPrometheusFormat(t *testing.T) {
 		`uopsim_entry_size_bucket{le="+Inf"} 3`,
 		"uopsim_entry_size_count 3",
 		`uopsim_entries_per_pw{key="2"} 1`,
+		"# TYPE uopsim_simulations_total counter\n" +
+			`uopsim_simulations_total{mode="sampled"} 0` + "\n" +
+			`uopsim_simulations_total{mode="full"} 1` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q\n---\n%s", want, out)
@@ -248,4 +268,74 @@ func rep(x, n int) []int {
 		out[i] = x
 	}
 	return out
+}
+
+// TestConcurrentInstruments bumps a function-read atomic counter, a
+// counter family and a locked histogram from many goroutines while
+// snapshots and Prometheus renders run alongside (run under -race); the
+// final totals must be exact.
+func TestConcurrentInstruments(t *testing.T) {
+	const workers, perWorker = 8, 1000
+	r := NewRegistry()
+	var n atomic.Uint64
+	r.RegisterCounterFunc("svc.requests", func() uint64 { return n.Load() })
+	fam := r.Family("svc.by_mode", "mode", "sampled", "full")
+	lat := NewLockedHist(1, 10, 100)
+	r.RegisterLockedHist("svc.latency", lat)
+	r.RegisterLockedMean("svc.latency_mean", lat)
+
+	var bumpers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := r.Snapshot()
+				if err := snap.WritePrometheus(io.Discard, "svc"); err != nil {
+					t.Error(err)
+					return
+				}
+				lat.Quantiles(0.5, 0.99)
+			}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		bumpers.Add(1)
+		go func(w int) {
+			defer bumpers.Done()
+			mode := []string{"sampled", "full"}[w%2]
+			for i := 0; i < perWorker; i++ {
+				n.Add(1)
+				fam.Inc(mode)
+				lat.Observe(i % 200)
+			}
+		}(w)
+	}
+	bumpers.Wait()
+	close(stop)
+	readers.Wait()
+
+	snap := r.Snapshot()
+	const total = workers * perWorker
+	if got := snap.Counter("svc.requests"); got != total {
+		t.Errorf("counter = %d, want %d", got, total)
+	}
+	if got := snap.Counter("svc.by_mode"); got != total {
+		t.Errorf("family total = %d, want %d", got, total)
+	}
+	if s, f := fam.Value("sampled"), fam.Value("full"); s != total/2 || f != total/2 {
+		t.Errorf("family split = %d/%d, want %d each", s, f, total/2)
+	}
+	if got := snap.Counter("svc.latency"); got != total {
+		t.Errorf("histogram total = %d, want %d", got, total)
+	}
+	if sm, _ := snap.Sample("svc.latency_mean"); sm.Count != total || sm.Value != 99.5 {
+		t.Errorf("mean sample = %+v, want count %d mean 99.5", sm, total)
+	}
 }

@@ -2,8 +2,12 @@
 // used by every simulator component, plus table rendering for experiment
 // output.
 //
-// All types are plain values with useful zero states so components can embed
-// them without constructors.
+// The simulator's instruments (Counter, Mean, Histogram, Distribution) are
+// plain values with useful zero states so components can embed them without
+// constructors, and bump them with no lock and no atomic. Services whose
+// handlers share metrics across goroutines use the concurrency-safe
+// CounterFamily and LockedHist, and register atomic counters through
+// Registry.RegisterCounterFunc.
 package stats
 
 import (

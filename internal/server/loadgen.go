@@ -125,7 +125,6 @@ type LoadReport struct {
 	// reported by the server's mode field.
 	Modes    map[string]int
 	P50, P90 time.Duration
-	P95      time.Duration
 	P99, Max time.Duration
 	Elapsed  time.Duration
 	// ModeLatency is the per-mode latency profile: simulate runs key it by
@@ -222,7 +221,7 @@ func quantilesOf(lats []time.Duration) LatencyQuantiles {
 // latency profile, then the per-mode profiles from byMode.
 func (r *LoadReport) setLatencies(lats []time.Duration, byMode map[string][]time.Duration) {
 	q := quantilesOf(lats)
-	r.P50, r.P90, r.P95, r.P99 = q.P50, percentile(lats, 0.90), q.P95, q.P99
+	r.P50, r.P90, r.P99 = q.P50, percentile(lats, 0.90), q.P99
 	if n := len(lats); n > 0 {
 		r.Max = lats[n-1]
 	}

@@ -7,9 +7,10 @@ import (
 )
 
 // Hotpath guards the allocation discipline of functions marked
-// //uopvet:hotpath — the per-cycle step, the fetch-group item pool, and the
-// BTB scratch path whose zero-alloc behaviour PR 1 and PR 3 measured into
-// the AllocsPerRun tests. It flags the obvious per-cycle allocators:
+// //uopvet:hotpath — the per-cycle step and the fetch, prediction, decode
+// drain and uop cache fill functions it calls, the fetch-group item pool,
+// and the BTB scratch path, whose zero-alloc behaviour the AllocsPerRun
+// tests measure. It flags the obvious per-cycle allocators:
 //
 //   - fmt string builders (Sprintf, Sprint, Sprintln, Errorf) anywhere in a
 //     hot function — each call allocates at least the result,

@@ -42,7 +42,7 @@ type btbLevel struct {
 }
 
 func newBTBLevel(sets, ways int) *btbLevel {
-	return &btbLevel{sets: sets, ways: ways, data: make([]btbEntry, sets*ways)}
+	return &btbLevel{sets: sets, ways: ways, data: make([]btbEntry, sets*ways), scratch: make([]*btbEntry, 0, ways)}
 }
 
 const lineShift = 6 // 64B lines

@@ -59,9 +59,9 @@ func (p *Predictor) FindBranch(lineAddr uint64, minOffset int) (BTBBranch, int, 
 }
 
 // PredictCond predicts the direction of the conditional branch at pc using
-// speculative history.
-func (p *Predictor) PredictCond(pc uint64) Pred {
-	return p.Tage.Predict(pc, p.spec)
+// speculative history, writing the prediction state into pred.
+func (p *Predictor) PredictCond(pc uint64, pred *Pred) {
+	p.Tage.Predict(pc, p.spec, pred)
 }
 
 // PredictTarget predicts the target of the branch at pc given its BTB record
@@ -97,8 +97,9 @@ func (p *Predictor) SpecShift(taken bool) { p.spec.Shift(taken) }
 // in program order while the front end is on the correct path (speculative
 // and architectural history coincide there).
 func (p *Predictor) TrainCond(pc uint64, taken bool) (predictedTaken bool) {
-	pred := p.Tage.Predict(pc, p.arch)
-	p.UpdateCond(pc, pred, taken)
+	var pred Pred
+	p.Tage.Predict(pc, p.arch, &pred)
+	p.UpdateCond(pc, &pred, taken)
 	return pred.Taken
 }
 
@@ -108,21 +109,23 @@ func (p *Predictor) TrainCond(pc uint64, taken bool) (predictedTaken bool) {
 // keep the direction tables and usefulness state hot, but are not
 // lookups and must not dilute the measured accuracy.
 func (p *Predictor) WarmCond(pc uint64, taken bool) {
-	pred := p.Tage.Predict(pc, p.arch)
-	p.Tage.Update(pc, p.arch, pred, taken)
+	var pred Pred
+	p.Tage.Predict(pc, p.arch, &pred)
+	p.Tage.Update(pc, p.arch, &pred, taken)
 }
 
 // UpdateCond trains TAGE with the fetch-time prediction state (pred, as
-// returned by PredictCond) and the resolved outcome, in program order.
-func (p *Predictor) UpdateCond(pc uint64, pred Pred, taken bool) {
+// written by PredictCond) and the resolved outcome, in program order.
+func (p *Predictor) UpdateCond(pc uint64, pred *Pred, taken bool) {
 	p.Tage.Update(pc, p.arch, pred, taken)
 	p.condLookups.Inc()
 	if pred.Taken != taken {
 		p.condMiss.Inc()
 	}
 	if p.Shadow != nil {
-		sp := p.Shadow.Predict(pc, p.arch)
-		p.Shadow.Update(pc, p.arch, sp, taken)
+		var sp Pred
+		p.Shadow.Predict(pc, p.arch, &sp)
+		p.Shadow.Update(pc, p.arch, &sp, taken)
 		if sp.Taken != taken {
 			p.shadowMiss.Inc()
 		}

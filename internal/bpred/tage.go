@@ -75,11 +75,15 @@ func (t *Tage) tag(pc uint64, h *History, table int) uint16 {
 	return uint16(v & ((1 << uint(tagBits[table])) - 1))
 }
 
-// Predict returns the direction prediction for the conditional branch at pc
-// under history h.
-func (t *Tage) Predict(pc uint64, h *History) Pred {
-	var p Pred
+// Predict writes the direction prediction for the conditional branch at pc
+// under history h into p, overwriting every field. Callers predict straight
+// into the storage that later feeds Update (a prediction window's CondAt
+// slot), so the 80-byte Pred is never copied.
+//
+//uopvet:hotpath
+func (t *Tage) Predict(pc uint64, h *History, p *Pred) {
 	p.provider = -1
+	p.providerWeak = false
 	p.bidx = uint32(pc>>2) & ((1 << logBase) - 1)
 	basePred := t.base[p.bidx] >= 0
 
@@ -87,8 +91,8 @@ func (t *Tage) Predict(pc uint64, h *History) Pred {
 	for i := numTables - 1; i >= 0; i-- {
 		p.idx[i] = t.index(pc, h, i)
 		p.tags[i] = t.tag(pc, h, i)
-		if t.tables[i][p.idx[i]].tag == p.tags[i] {
-			p.hit[i] = true
+		p.hit[i] = t.tables[i][p.idx[i]].tag == p.tags[i]
+		if p.hit[i] {
 			if p.provider == -1 {
 				p.provider = i
 			} else if alt == -1 {
@@ -112,13 +116,12 @@ func (t *Tage) Predict(pc uint64, h *History) Pred {
 	} else {
 		p.Taken = basePred
 	}
-	return p
 }
 
 // Update trains the predictor with the resolved outcome. pred must be the
-// value returned by Predict for this branch instance, and h the history the
+// state Predict wrote for this branch instance, and h the history the
 // prediction was made under.
-func (t *Tage) Update(pc uint64, h *History, pred Pred, taken bool) {
+func (t *Tage) Update(pc uint64, h *History, pred *Pred, taken bool) {
 	_ = h
 	correct := pred.Taken == taken
 
@@ -173,7 +176,7 @@ func (t *Tage) Update(pc uint64, h *History, pred Pred, taken bool) {
 	}
 }
 
-func (t *Tage) allocate(pred Pred, taken bool) {
+func (t *Tage) allocate(pred *Pred, taken bool) {
 	start := pred.provider + 1
 	// Find a victim with u==0 among longer tables; probabilistically prefer
 	// shorter histories (allocation throttling).

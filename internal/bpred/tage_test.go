@@ -15,8 +15,9 @@ func runTage(t *testing.T, n int, pc uint64, outcome func(i int) bool) float64 {
 	correct, counted := 0, 0
 	for i := 0; i < n; i++ {
 		want := outcome(i)
-		p := tg.Predict(pc, h)
-		tg.Update(pc, h, p, want)
+		var p Pred
+		tg.Predict(pc, h, &p)
+		tg.Update(pc, h, &p, want)
 		h.Shift(want)
 		if i >= n/2 {
 			counted++
@@ -70,8 +71,9 @@ func TestTageManyBranchesInterleaved(t *testing.T) {
 		if r.Bool(0.02) {
 			want = !want // 2% noise
 		}
-		p := tg.Predict(pc, h)
-		tg.Update(pc, h, p, want)
+		var p Pred
+		tg.Predict(pc, h, &p)
+		tg.Update(pc, h, &p, want)
 		h.Shift(want)
 		if i > n/2 {
 			counted++

@@ -61,8 +61,11 @@ func (p *Pipe[T]) CanPush(cycle int64) bool {
 	return cycle != p.lastPushCycle || p.pushedThis < p.width
 }
 
-// Push enters v at cycle; it must be guarded by CanPush.
-func (p *Pipe[T]) Push(cycle int64, v T) {
+// Push enters a new item at cycle and returns its slot for the caller to
+// fill in place; it must be guarded by CanPush. The slot is zero: Drop and
+// Flush clear every slot they vacate, so no item leaves a stale copy (or a
+// second owner of anything it references) behind.
+func (p *Pipe[T]) Push(cycle int64) *T {
 	if !p.CanPush(cycle) {
 		panic("decode: push on full pipe")
 	}
@@ -72,41 +75,45 @@ func (p *Pipe[T]) Push(cycle int64, v T) {
 	}
 	p.pushedThis++
 	p.pushes.Inc()
-	idx := (p.head + p.count) % len(p.slots)
-	p.slots[idx] = pipeSlot[T]{value: v, ready: cycle + int64(p.latency)}
+	sl := &p.slots[(p.head+p.count)%len(p.slots)]
+	sl.ready = cycle + int64(p.latency)
 	p.count++
+	return &sl.value
 }
 
-// PeekReady returns the oldest item without removing it, if it has completed
-// by cycle.
-func (p *Pipe[T]) PeekReady(cycle int64) (T, bool) {
-	var zero T
+// Peek returns the oldest item in place if it has completed by cycle, else
+// nil. The pointer is valid until the item is dropped or the pipe flushed.
+func (p *Pipe[T]) Peek(cycle int64) *T {
 	if p.count == 0 || p.slots[p.head].ready > cycle {
-		return zero, false
+		return nil
 	}
-	return p.slots[p.head].value, true
+	return &p.slots[p.head].value
 }
 
-// PopReady removes and returns the oldest item if it has completed by cycle.
-func (p *Pipe[T]) PopReady(cycle int64) (T, bool) {
-	var zero T
-	if p.count == 0 || p.slots[p.head].ready > cycle {
-		return zero, false
+// Drop removes the oldest item (the one Peek returned) and clears its slot.
+func (p *Pipe[T]) Drop() {
+	if p.count == 0 {
+		panic("decode: drop on empty pipe")
 	}
-	v := p.slots[p.head].value
 	p.slots[p.head] = pipeSlot[T]{}
 	p.head = (p.head + 1) % len(p.slots)
 	p.count--
-	return v, true
+}
+
+// At returns the i-th in-flight item, oldest first (0 <= i < Len), ready
+// or not.
+func (p *Pipe[T]) At(i int) *T {
+	return &p.slots[(p.head+i)%len(p.slots)].value
 }
 
 // Len returns the number of in-flight items.
 func (p *Pipe[T]) Len() int { return p.count }
 
-// Flush discards all in-flight items (pipeline redirect).
+// Flush discards all in-flight items (pipeline redirect). Only the occupied
+// slots are cleared: the others are already zero.
 func (p *Pipe[T]) Flush() {
-	for i := range p.slots {
-		p.slots[i] = pipeSlot[T]{}
+	for i := 0; i < p.count; i++ {
+		p.slots[(p.head+i)%len(p.slots)] = pipeSlot[T]{}
 	}
 	p.head, p.count = 0, 0
 	p.lastPushCycle = -1

@@ -107,11 +107,16 @@ func NewBuilder(cfg Config, pred *bpred.Predictor) *Builder {
 func lineOf(addr uint64) uint64 { return addr &^ uint64(ICLineBytes-1) }
 
 // Build constructs the next PW starting at startPC along the speculative
-// path, advancing speculative history/RAS for every predicted branch.
-func (b *Builder) Build(startPC uint64) PW {
+// path into pw, advancing speculative history/RAS for every predicted
+// branch. Every field of pw is overwritten; pw.Conds keeps its backing
+// array, so a caller that builds into the same storage each time (the
+// pipeline's PW ring) allocates only while that array first grows.
+//
+//uopvet:hotpath
+func (b *Builder) Build(pw *PW, startPC uint64) {
 	b.instance++
 	b.built.Inc()
-	pw := PW{ID: startPC, Instance: b.instance, Start: startPC}
+	*pw = PW{ID: startPC, Instance: b.instance, Start: startPC, Conds: pw.Conds[:0]}
 	line := lineOf(startPC)
 	lineEnd := line + ICLineBytes
 	cur := startPC
@@ -125,23 +130,25 @@ func (b *Builder) Build(startPC uint64) PW {
 			pw.NextPC = lineEnd
 			pw.Term = TermLineEnd
 			b.lineTerm.Inc()
-			return pw
+			return
 		}
 		brPC := br.PC(line)
 		fall := br.FallThrough(line)
 		if br.Kind == isa.BranchCond {
-			p := b.pred.PredictCond(brPC)
-			b.pred.SpecShift(p.Taken)
+			ca := pw.addCond()
+			ca.PC = brPC
+			b.pred.PredictCond(brPC, &ca.Pred)
+			ca.Taken = ca.Pred.Taken
+			b.pred.SpecShift(ca.Taken)
 			b.specShifts.Inc()
-			pw.Conds = append(pw.Conds, CondAt{PC: brPC, Pred: p, Taken: p.Taken})
-			if !p.Taken {
+			if !ca.Taken {
 				nt++
 				if nt >= b.cfg.MaxNotTaken && b.cfg.MaxNotTaken > 0 {
 					pw.End = fall
 					pw.NextPC = fall
 					pw.Term = TermMaxNT
 					b.ntTermed.Inc()
-					return pw
+					return
 				}
 				cur = fall
 				if cur >= lineEnd {
@@ -149,7 +156,7 @@ func (b *Builder) Build(startPC uint64) PW {
 					pw.NextPC = lineEnd
 					pw.Term = TermLineEnd
 					b.lineTerm.Inc()
-					return pw
+					return
 				}
 				continue
 			}
@@ -162,7 +169,7 @@ func (b *Builder) Build(startPC uint64) PW {
 			pw.NextPC = target
 			pw.Term = TermTaken
 			b.takenTerm.Inc()
-			return pw
+			return
 		}
 
 		// Unconditional control transfer terminates the PW.
@@ -182,8 +189,36 @@ func (b *Builder) Build(startPC uint64) PW {
 		pw.NextPC = target
 		pw.Term = TermTaken
 		b.takenTerm.Inc()
-		return pw
+		return
 	}
+}
+
+// NewWindows returns n empty windows to build into, each with Conds
+// capacity for the most conditionals one window can hold (the not-taken
+// budget, or a whole line's worth without one), carved from one array:
+// building into them never allocates.
+func (b *Builder) NewWindows(n int) []PW {
+	per := b.cfg.MaxNotTaken
+	if per == 0 {
+		per = ICLineBytes
+	}
+	conds := make([]CondAt, n*per)
+	pws := make([]PW, n)
+	for i := range pws {
+		pws[i].Conds = conds[i*per : i*per : (i+1)*per]
+	}
+	return pws
+}
+
+// addCond extends Conds by one slot and returns it. The slot may hold a
+// previous window's state; the caller overwrites every field.
+func (pw *PW) addCond() *CondAt {
+	if n := len(pw.Conds); n < cap(pw.Conds) {
+		pw.Conds = pw.Conds[:n+1]
+	} else {
+		pw.Conds = append(pw.Conds, CondAt{})
+	}
+	return &pw.Conds[len(pw.Conds)-1]
 }
 
 // Stats returns (PWs built, taken-terminated, line-end-terminated,

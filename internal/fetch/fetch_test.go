@@ -20,7 +20,8 @@ func trainTaken(p *bpred.Predictor, pc uint64, taken bool) {
 func TestPWLineEndWithoutBranches(t *testing.T) {
 	p := bpred.New()
 	b := NewBuilder(DefaultConfig(), p)
-	pw := b.Build(0x1010)
+	var pw PW
+	b.Build(&pw, 0x1010)
 	if pw.Term != TermLineEnd {
 		t.Fatalf("term = %v", pw.Term)
 	}
@@ -36,7 +37,8 @@ func TestPWTakenBranchTerminates(t *testing.T) {
 	p := bpred.New()
 	p.TrainTarget(0x1010, isa.BranchJump, 0x4000, 5)
 	b := NewBuilder(DefaultConfig(), p)
-	pw := b.Build(0x1000)
+	var pw PW
+	b.Build(&pw, 0x1000)
 	if !pw.EndsTaken || pw.Term != TermTaken {
 		t.Fatalf("unconditional jump should terminate the window: %+v", pw)
 	}
@@ -53,7 +55,8 @@ func TestPWTakenConditional(t *testing.T) {
 	p.TrainTarget(0x1008, isa.BranchCond, 0x5000, 4)
 	trainTaken(p, 0x1008, true)
 	b := NewBuilder(DefaultConfig(), p)
-	pw := b.Build(0x1000)
+	var pw PW
+	b.Build(&pw, 0x1000)
 	if !pw.EndsTaken || pw.TakenPC != 0x1008 || pw.NextPC != 0x5000 {
 		t.Fatalf("pw=%+v", pw)
 	}
@@ -67,7 +70,8 @@ func TestPWNotTakenContinues(t *testing.T) {
 	p.TrainTarget(0x1008, isa.BranchCond, 0x5000, 4)
 	trainTaken(p, 0x1008, false)
 	b := NewBuilder(DefaultConfig(), p)
-	pw := b.Build(0x1000)
+	var pw PW
+	b.Build(&pw, 0x1000)
 	if pw.EndsTaken {
 		t.Fatal("not-taken conditional must not terminate the window")
 	}
@@ -87,7 +91,8 @@ func TestPWNotTakenBudget(t *testing.T) {
 	trainTaken(p, 0x1008, false)
 	trainTaken(p, 0x1018, false)
 	b := NewBuilder(DefaultConfig(), p)
-	pw := b.Build(0x1000)
+	var pw PW
+	b.Build(&pw, 0x1000)
 	if pw.Term != TermMaxNT {
 		t.Fatalf("term = %v, want not-taken budget", pw.Term)
 	}
@@ -104,11 +109,13 @@ func TestPWCallPushesRAS(t *testing.T) {
 	p.TrainTarget(0x1010, isa.BranchCall, 0x7000, 5)
 	p.TrainTarget(0x7000, isa.BranchRet, 0, 1)
 	b := NewBuilder(DefaultConfig(), p)
-	pw1 := b.Build(0x1000)
+	var pw1 PW
+	b.Build(&pw1, 0x1000)
 	if pw1.NextPC != 0x7000 {
 		t.Fatalf("call window: %+v", pw1)
 	}
-	pw2 := b.Build(pw1.NextPC)
+	var pw2 PW
+	b.Build(&pw2, pw1.NextPC)
 	if !pw2.EndsTaken || pw2.TerminalKind != isa.BranchRet {
 		t.Fatalf("return window: %+v", pw2)
 	}
@@ -120,8 +127,10 @@ func TestPWCallPushesRAS(t *testing.T) {
 func TestPWInstancesIncrease(t *testing.T) {
 	p := bpred.New()
 	b := NewBuilder(DefaultConfig(), p)
-	a := b.Build(0x1000)
-	c := b.Build(0x1040)
+	var a PW
+	b.Build(&a, 0x1000)
+	var c PW
+	b.Build(&c, 0x1040)
 	if c.Instance <= a.Instance {
 		t.Error("instances must increase")
 	}
@@ -134,8 +143,37 @@ func TestPWInstancesIncrease(t *testing.T) {
 func TestPWMidLineStart(t *testing.T) {
 	p := bpred.New()
 	b := NewBuilder(DefaultConfig(), p)
-	pw := b.Build(0x1035)
+	var pw PW
+	b.Build(&pw, 0x1035)
 	if pw.Start != 0x1035 || pw.End != 0x1040 {
 		t.Errorf("mid-line window: %+v", pw)
+	}
+}
+
+// TestPWBuildOverwritesInPlace pins the in-place contract: building into a
+// window that held a previous, taken-terminated window leaves none of its
+// state behind, and the Conds backing array is reused rather than
+// reallocated.
+func TestPWBuildOverwritesInPlace(t *testing.T) {
+	p := bpred.New()
+	p.TrainTarget(0x1008, isa.BranchCond, 0x3000, 2)
+	trainTaken(p, 0x1008, true)
+	b := NewBuilder(DefaultConfig(), p)
+	var pw PW
+	b.Build(&pw, 0x1000)
+	if !pw.EndsTaken || len(pw.Conds) != 1 || !pw.Conds[0].Taken {
+		t.Fatalf("first window should end at the taken conditional: %+v", pw)
+	}
+	conds := &pw.Conds[:1][0]
+	b.Build(&pw, 0x2000)
+	if pw.EndsTaken || pw.TakenPC != 0 || len(pw.Conds) != 0 || pw.Start != 0x2000 || pw.End != 0x2040 {
+		t.Fatalf("second window kept stale state: %+v", pw)
+	}
+	b.Build(&pw, 0x1000)
+	if &pw.Conds[0] != conds {
+		t.Error("rebuilding a window reallocated its Conds array")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Build(&pw, 0x1000) }); allocs != 0 {
+		t.Errorf("Build into a warmed window allocates %.1f objects", allocs)
 	}
 }

@@ -43,7 +43,8 @@ type Loop struct {
 type LoopCache struct {
 	cfg Config
 
-	current    *Loop
+	current    *Loop // nil or &slot
+	slot       Loop  // storage Install copies captures into
 	trainPC    uint64
 	trainCount int
 
@@ -67,7 +68,7 @@ func New(cfg Config) *LoopCache {
 	if cfg.TrainThreshold < 1 {
 		cfg.TrainThreshold = 1
 	}
-	return &LoopCache{cfg: cfg}
+	return &LoopCache{cfg: cfg, slot: Loop{InstIDs: make([]uint32, 0, cfg.MaxUops)}}
 }
 
 // Enabled reports whether the structure is on.
@@ -102,14 +103,17 @@ func (lc *LoopCache) ObserveOther() {
 }
 
 // Install captures a loop; it returns false (and captures nothing) when the
-// body exceeds the buffer.
+// body exceeds the buffer. The body is copied into storage the loop cache
+// owns (reused from one capture to the next), so the caller may reuse
+// l.InstIDs, and a Loop returned by an earlier Lookup is overwritten.
 func (lc *LoopCache) Install(l Loop) bool {
 	if !lc.cfg.Enabled || l.NumUops > lc.cfg.MaxUops || len(l.InstIDs) == 0 {
 		return false
 	}
-	cp := l
-	cp.InstIDs = append([]uint32(nil), l.InstIDs...)
-	lc.current = &cp
+	ids := append(lc.slot.InstIDs[:0], l.InstIDs...)
+	lc.slot = l
+	lc.slot.InstIDs = ids
+	lc.current = &lc.slot
 	lc.captures.Inc()
 	lc.replToggles.Inc()
 	return true

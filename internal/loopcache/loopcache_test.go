@@ -95,3 +95,27 @@ func TestStats(t *testing.T) {
 		t.Errorf("stats = %d/%d", captures, served)
 	}
 }
+
+// TestInstallCopiesIntoOwnedSlot pins Install's ownership rule: the body is
+// copied into storage the loop cache owns, so the caller may reuse its ID
+// slice at once, and re-capturing a loop reuses that storage rather than
+// allocating.
+func TestInstallCopiesIntoOwnedSlot(t *testing.T) {
+	lc := New(DefaultConfig())
+	ids := []uint32{1, 2, 3}
+	if !lc.Install(Loop{Start: 0x80, BranchPC: 0x90, InstIDs: ids, NumUops: 3}) {
+		t.Fatal("install refused")
+	}
+	ids[0] = 99 // caller reuses its scratch
+	got, ok := lc.Lookup(0x80)
+	if !ok || got.InstIDs[0] != 1 || len(got.InstIDs) != 3 {
+		t.Fatalf("installed body aliases the caller's slice: %+v", got)
+	}
+	other := Loop{Start: 0x200, BranchPC: 0x210, InstIDs: []uint32{7, 8}, NumUops: 2}
+	if n := testing.AllocsPerRun(50, func() { lc.Install(other) }); n != 0 {
+		t.Errorf("re-capture allocates %.1f objects", n)
+	}
+	if got, ok := lc.Lookup(0x200); !ok || len(got.InstIDs) != 2 || got.InstIDs[1] != 8 {
+		t.Fatalf("re-capture: %+v", got)
+	}
+}

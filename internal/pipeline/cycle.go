@@ -87,7 +87,7 @@ func (m *counters) register(r *stats.Registry) {
 
 // step advances the machine one cycle. It runs once per simulated cycle
 // for every design point, so it must stay allocation-free (see
-// TestCycleLoopAllocations).
+// TestCycleLoopAllocLean).
 //
 //uopvet:hotpath
 func (s *Sim) step() {
@@ -182,19 +182,24 @@ func (s *Sim) dispatch(c int64) int {
 }
 
 // drain moves completed items from the three supply pipes into the uop queue
-// in global fetch (sequence) order.
+// in global fetch (sequence) order. Items are read in their pipe slots; a
+// slot is dropped before anything that can flush the pipes runs, and what a
+// redirect needs after the drop is copied out first.
+//
+//uopvet:hotpath
 func (s *Sim) drain(c int64) {
 	popsDC, popsOC, popsLC := 0, 0, 0
 	for {
 		if popsOC < 1 {
-			if g, ok := s.ocPipe.PeekReady(c); ok && g.items[0].seq == s.nextPopSeq {
+			if g := s.ocPipe.Peek(c); g != nil && g.items[0].seq == s.nextPopSeq {
 				if s.uq.Free() < g.uops {
 					return
 				}
-				s.ocPipe.PopReady(c)
+				items := g.items
+				s.ocPipe.Drop()
 				popsOC++
-				fired := s.popGroup(c, g)
-				s.putItems(g.items)
+				fired := s.popGroup(c, items)
+				s.putItems(items)
 				if fired {
 					return // redirect fired
 				}
@@ -202,14 +207,15 @@ func (s *Sim) drain(c int64) {
 			}
 		}
 		if popsLC < 1 {
-			if g, ok := s.lcPipe.PeekReady(c); ok && g.items[0].seq == s.nextPopSeq {
+			if g := s.lcPipe.Peek(c); g != nil && g.items[0].seq == s.nextPopSeq {
 				if s.uq.Free() < g.uops {
 					return
 				}
-				s.lcPipe.PopReady(c)
+				items := g.items
+				s.lcPipe.Drop()
 				popsLC++
-				fired := s.popGroup(c, g)
-				s.putItems(g.items)
+				fired := s.popGroup(c, items)
+				s.putItems(items)
 				if fired {
 					return
 				}
@@ -217,11 +223,10 @@ func (s *Sim) drain(c int64) {
 			}
 		}
 		if popsDC < s.cfg.DecodeWidth {
-			if it, ok := s.dcPipe.PeekReady(c); ok && it.seq == s.nextPopSeq {
+			if it := s.dcPipe.Peek(c); it != nil && it.seq == s.nextPopSeq {
 				if s.uq.Free() < int(it.inst.NumUops) {
 					return
 				}
-				s.dcPipe.PopReady(c)
 				popsDC++
 				s.dec.NoteDecode(c, 1, int(it.inst.NumUops))
 				s.m.decodedInsts.Inc()
@@ -231,10 +236,12 @@ func (s *Sim) drain(c int64) {
 				s.ocb.Add(it.inst, it.pwID, it.pwInstance, it.pwEndTaken)
 				s.pushUops(it)
 				s.nextPopSeq = it.seq + 1
-				if it.decRedirect {
+				redirect, next := it.decRedirect, it.rec.Next
+				s.dcPipe.Drop()
+				if redirect {
 					s.ocb.TerminateTaken()
 					s.m.decRedirects.Inc()
-					s.flushFrontEnd(c, it.rec.Next, false)
+					s.flushFrontEnd(c, next, false)
 					return
 				}
 				continue
@@ -244,11 +251,15 @@ func (s *Sim) drain(c int64) {
 	}
 }
 
-// popGroup pushes a group's uops and handles an embedded decode-style
+// popGroup pushes the uops of a group already dropped from its pipe (so a
+// flush cannot reach its items) and handles an embedded decode-style
 // redirect (BTB-unknown direct jump read out of the uop or loop cache). It
 // reports whether a redirect fired.
-func (s *Sim) popGroup(c int64, g fGroup) bool {
-	for _, it := range g.items {
+//
+//uopvet:hotpath
+func (s *Sim) popGroup(c int64, items []fItem) bool {
+	for i := range items {
+		it := &items[i]
 		s.pushUops(it)
 		s.nextPopSeq = it.seq + 1
 		if it.decRedirect {
@@ -260,7 +271,8 @@ func (s *Sim) popGroup(c int64, g fGroup) bool {
 	return false
 }
 
-func (s *Sim) pushUops(it fItem) {
+//uopvet:hotpath
+func (s *Sim) pushUops(it *fItem) {
 	n := int(it.inst.NumUops)
 	for i := 0; i < n; i++ {
 		u := uopq.Uop{
@@ -295,6 +307,14 @@ func (s *Sim) flushFrontEnd(c int64, target uint64, flushUQ bool) {
 			misp = 1
 		}
 		s.obs.Event(Event{Cycle: c, Kind: EvRedirect, Addr: target, A: misp})
+	}
+	// Groups still in flight hand their item slices back before the pipes
+	// drop them.
+	for i := 0; i < s.ocPipe.Len(); i++ {
+		s.putItems(s.ocPipe.At(i).items)
+	}
+	for i := 0; i < s.lcPipe.Len(); i++ {
+		s.putItems(s.lcPipe.At(i).items)
 	}
 	s.ocPipe.Flush()
 	s.dcPipe.Flush()
@@ -357,15 +377,14 @@ func (s *Sim) acquirePW(c int64) bool {
 				continue // window fully absorbed
 			}
 		}
-		s.pwCur = *pw
 		s.pwPopN(1)
-		s.pw = &s.pwCur
-		s.curAddr = s.pwCur.Start
+		s.pw = pw // the popped slot stays reserved while pw is live (see pwQ)
+		s.curAddr = pw.Start
 		if s.fetchAddr > s.curAddr {
 			s.curAddr = s.fetchAddr
 		}
 		s.pwFromOC = false
-		if loop, ok := s.lc.Lookup(s.curAddr); ok && s.pwCur.EndsTaken && s.pwCur.TakenPC == loop.BranchPC {
+		if loop, ok := s.lc.Lookup(s.curAddr); ok && pw.EndsTaken && pw.TakenPC == loop.BranchPC {
 			s.setMode(c, modeLC)
 			s.prepareLC(c, loop)
 		} else {
@@ -392,6 +411,12 @@ func (s *Sim) resync(c int64) {
 // from several sequential prediction windows (§II-B2); the emission walks a
 // cursor over the current window plus queued sequential successors so that
 // branches inside the overshoot region use their own windows' predictions.
+//
+// The entry Lookup returns is only read here, within this cycle: fills
+// happen at decode drain, never during ocStep, so the cache cannot recycle
+// the entry (uopcache.Cache's free list) while it is being read.
+//
+//uopvet:hotpath
 func (s *Sim) ocStep(c int64) {
 	if !s.ocPipe.CanPush(c) {
 		return
@@ -407,7 +432,8 @@ func (s *Sim) ocStep(c int64) {
 	}
 	s.pwFromOC = true
 
-	g := fGroup{items: s.getItems()}
+	items := s.getItems()
+	uops := 0
 	cur := s.pw
 	consumed := 0 // PWs taken from the queue beyond s.pw
 	finishedTaken := false
@@ -433,29 +459,29 @@ func (s *Sim) ocStep(c int64) {
 		if cur.EndsTaken && in.Addr > cur.TakenPC {
 			break // drop uops past the window's predicted taken branch
 		}
-		it := s.makeItem(c, in, uopq.SrcUopCache, cur)
-		g.items = append(g.items, it)
-		g.uops += int(in.NumUops)
+		var it *fItem
+		items, it = growItems(items)
+		s.makeItem(it, c, in, uopq.SrcUopCache, cur)
+		uops += int(in.NumUops)
 		if cur.EndsTaken && in.Addr == cur.TakenPC {
 			finishedTaken = true
 			break
 		}
 	}
-	if len(g.items) == 0 {
-		s.putItems(g.items)
+	if len(items) == 0 {
+		s.putItems(items)
 		s.setMode(c, modeIC)
 		return
 	}
-	s.ocPipe.Push(c, g)
-	end := g.items[len(g.items)-1].inst.End()
+	*s.ocPipe.Push(c) = fGroup{items: items, uops: uops}
+	end := items[len(items)-1].inst.End()
 
 	// Commit cursor state: windows strictly before cur are fully fetched.
 	if consumed > 0 {
-		s.pwCur = *s.pwAt(consumed - 1)
+		s.pw = s.pwAt(consumed - 1)
 		s.pwPopN(consumed)
-		s.pw = &s.pwCur
 	}
-	cur2 := s.pw // cur aliases either old s.pw or the new copy's original slot
+	cur2 := s.pw
 	switch {
 	case finishedTaken:
 		s.finishPW(cur2.NextPC)
@@ -468,6 +494,7 @@ func (s *Sim) ocStep(c int64) {
 	}
 }
 
+//uopvet:hotpath
 func (s *Sim) icStep(c int64) {
 	budget := s.cfg.ICFetchBytes
 	pw := s.pw
@@ -491,8 +518,7 @@ func (s *Sim) icStep(c int64) {
 				return
 			}
 		}
-		it := s.makeItem(c, in, uopq.SrcDecoder, pw)
-		s.dcPipe.Push(c, it)
+		s.makeItem(s.dcPipe.Push(c), c, in, uopq.SrcDecoder, pw)
 		budget -= int(in.Len)
 		s.curAddr = in.End()
 		if pw.EndsTaken && in.Addr == pw.TakenPC {
@@ -511,33 +537,38 @@ func (s *Sim) prepareLC(c int64, loop *loopcache.Loop) {
 	s.lcRemaining = s.lcRemaining[:0]
 	s.lcHead = 0
 	for _, id := range loop.InstIDs {
-		in := s.prog.Inst(id)
-		s.lcRemaining = append(s.lcRemaining, s.makeItem(c, in, uopq.SrcLoopCache, pw))
+		var it *fItem
+		s.lcRemaining, it = growItems(s.lcRemaining)
+		s.makeItem(it, c, s.prog.Inst(id), uopq.SrcLoopCache, pw)
 	}
 }
 
+//uopvet:hotpath
 func (s *Sim) lcStep(c int64) {
 	if !s.lcPipe.CanPush(c) {
 		return
 	}
-	g := fGroup{items: s.getItems()}
+	items := s.getItems()
+	uops := 0
 	for s.lcHead < len(s.lcRemaining) {
-		it := s.lcRemaining[s.lcHead]
-		if g.uops+int(it.inst.NumUops) > 8 && len(g.items) > 0 {
+		src := &s.lcRemaining[s.lcHead]
+		if uops+int(src.inst.NumUops) > groupItems && len(items) > 0 {
 			break
 		}
+		var it *fItem
+		items, it = growItems(items)
+		*it = *src
 		it.fetchCycle = c
-		g.items = append(g.items, it)
-		g.uops += int(it.inst.NumUops)
+		uops += int(src.inst.NumUops)
 		s.lcHead++
 	}
-	if len(g.items) == 0 {
-		s.putItems(g.items)
+	if len(items) == 0 {
+		s.putItems(items)
 		s.setMode(c, modeOC) // defensive: empty loop body
 		return
 	}
-	s.lc.NoteServed(g.uops)
-	s.lcPipe.Push(c, g)
+	s.lc.NoteServed(uops)
+	*s.lcPipe.Push(c) = fGroup{items: items, uops: uops}
 	if s.lcHead == len(s.lcRemaining) {
 		s.finishPW(s.pw.NextPC)
 	}
@@ -563,7 +594,7 @@ func (s *Sim) captureLoop(pw *fetch.PW) { s.captureLoopAt(pw.Start, pw.TakenPC) 
 // captureLoopAt is the window-free form: the sampled-run warming path
 // drives it from the architectural stream, where no PW exists.
 func (s *Sim) captureLoopAt(start, takenPC uint64) {
-	var ids []uint32
+	s.loopIDs = s.loopIDs[:0]
 	uops := 0
 	addr := start
 	for {
@@ -571,7 +602,7 @@ func (s *Sim) captureLoopAt(start, takenPC uint64) {
 		if in == nil {
 			return
 		}
-		ids = append(ids, in.ID)
+		s.loopIDs = append(s.loopIDs, in.ID)
 		uops += int(in.NumUops)
 		if uops > s.lc.MaxUops() {
 			return
@@ -584,19 +615,20 @@ func (s *Sim) captureLoopAt(start, takenPC uint64) {
 		}
 		addr = in.End()
 	}
-	s.lc.Install(loopcache.Loop{Start: start, BranchPC: takenPC, InstIDs: ids, NumUops: uops})
+	s.lc.Install(loopcache.Loop{Start: start, BranchPC: takenPC, InstIDs: s.loopIDs, NumUops: uops})
 }
 
 func (s *Sim) bpuStep(c int64) {
 	if s.bpuStall > c || s.pwCount >= s.cfg.PWQueueSize {
 		return
 	}
-	pw := s.pwb.Build(s.bpuPC)
+	pw := s.pwAt(s.pwCount)
+	s.pwb.Build(pw, s.bpuPC)
+	s.pwCount++
 	if pw.Penalty > 0 {
 		s.bpuStall = c + int64(pw.Penalty)
 	}
 	s.hier.PrefetchInst(pw.Start)
-	s.pwPush(pw)
 	if s.obs != nil {
 		taken := int32(0)
 		if pw.EndsTaken {
@@ -607,45 +639,37 @@ func (s *Sim) bpuStep(c int64) {
 	s.bpuPC = pw.NextPC
 }
 
-// makeItem stamps one fetched instruction: sequence number, prediction
-// context, oracle matching, correct-path training and divergence detection.
-func (s *Sim) makeItem(c int64, in *isa.Inst, src uopq.Source, pw *fetch.PW) fItem {
-	it := fItem{
-		seq:        s.seq,
-		inst:       in,
-		fetchCycle: c,
-		src:        src,
-		pwID:       pw.ID,
-		pwInstance: pw.Instance,
-	}
+// makeItem stamps one fetched instruction into it, in place (a group slot,
+// a decode-pipe slot or a loop-cache backlog slot), after clearing whatever
+// an earlier instruction left there: sequence number, prediction context,
+// oracle matching, correct-path training and divergence detection.
+//
+//uopvet:hotpath
+func (s *Sim) makeItem(it *fItem, c int64, in *isa.Inst, src uopq.Source, pw *fetch.PW) {
+	*it = fItem{}
+	it.seq = s.seq
+	it.inst = in
+	it.fetchCycle = c
+	it.src = src
+	it.pwID = pw.ID
+	it.pwInstance = pw.Instance
 	s.seq++
 
-	predicted := false
-	var condPred bpred.Pred
+	// condPred points into pw's Conds: the window outlives this call.
+	var condPred *bpred.Pred
+	it.predictedNext = in.End() // non-branch, or predicted (or implicit) not-taken
 	if in.IsBranch() {
 		if pw.EndsTaken && in.Addr == pw.TakenPC {
 			it.predictedNext = pw.NextPC
 			it.pwEndTaken = true
-			predicted = true
-			if in.Branch == isa.BranchCond {
-				if ca := findCond(pw, in.Addr); ca != nil {
-					condPred = ca.Pred
-				} else {
-					predicted = false
-				}
-			}
-		} else {
-			it.predictedNext = in.End() // predicted (or implicit) not-taken
-			if in.Branch == isa.BranchCond {
-				if ca := findCond(pw, in.Addr); ca != nil {
-					predicted = true
-					condPred = ca.Pred
-				}
-			}
 		}
-	} else {
-		it.predictedNext = in.End()
+		if in.Branch == isa.BranchCond {
+			condPred = findCond(pw, in.Addr)
+		}
 	}
+	// A predicted conditional is one the window knows; every other branch
+	// kind is predicted when it ends the window taken.
+	predicted := condPred != nil || (it.pwEndTaken && in.Branch != isa.BranchCond)
 
 	if !s.wrongPath && s.orOK && in.Addr == s.nextOraclePC && s.orHead.InstID == in.ID {
 		it.correct = true
@@ -655,29 +679,41 @@ func (s *Sim) makeItem(c int64, in *isa.Inst, src uopq.Source, pw *fetch.PW) fIt
 		if s.OnConsume != nil {
 			s.OnConsume(it.rec)
 		}
-		s.consumeCorrect(&it, predicted, condPred)
+		s.consumeCorrect(it, predicted, condPred)
 	}
-	return it
 }
 
-func findCond(pw *fetch.PW, pc uint64) *fetch.CondAt {
+// findCond returns the prediction state of the conditional branch at pc in
+// pw, or nil when the window does not know it.
+func findCond(pw *fetch.PW, pc uint64) *bpred.Pred {
 	for i := range pw.Conds {
 		if pw.Conds[i].PC == pc {
-			return &pw.Conds[i]
+			return &pw.Conds[i].Pred
 		}
 	}
 	return nil
 }
 
+// growItems extends items by one slot and returns it. The slot may hold a
+// stale item from an earlier use of the array; makeItem clears it whole.
+func growItems(items []fItem) ([]fItem, *fItem) {
+	if n := len(items); n < cap(items) {
+		items = items[:n+1]
+	} else {
+		items = append(items, fItem{})
+	}
+	return items, &items[len(items)-1]
+}
+
 // consumeCorrect trains the predictors with the architectural outcome and
 // classifies divergences (misprediction vs decode-time redirect).
-func (s *Sim) consumeCorrect(it *fItem, predicted bool, condPred bpred.Pred) {
+func (s *Sim) consumeCorrect(it *fItem, predicted bool, condPred *bpred.Pred) {
 	in := it.inst
 	if !in.IsBranch() {
 		return
 	}
 	s.m.branches.Inc()
-	rec := it.rec
+	rec := &it.rec
 
 	switch in.Branch {
 	case isa.BranchCall, isa.BranchIndirectCall:

@@ -137,10 +137,21 @@ type fItem struct {
 	pwEndTaken bool
 }
 
+// fGroup is one uop-cache entry's or loop-cache read's worth of fetched
+// instructions, moving through ocPipe or lcPipe as a unit.
 type fGroup struct {
 	items []fItem
 	uops  int
 }
+
+const (
+	// groupItems bounds a group's items: a group carries at most 8 uops
+	// (a uop cache line's worth, or lcStep's per-cycle limit) and every
+	// instruction has at least one.
+	groupItems = 8
+	ocPipeCap  = 8 // groups in flight in the uop cache read pipe
+	lcPipeCap  = 4 // groups in flight in the loop cache read pipe
+)
 
 type pendingRedirect struct {
 	fire       int64
@@ -176,15 +187,18 @@ type Sim struct {
 	cycle int64
 
 	// Fetch-side state. The PW queue is a fixed ring (head/count over pwQ)
-	// and the current window lives in pwCur: both avoid the per-window heap
-	// traffic a sliced queue and an escaping copy would cause on this path.
+	// whose slots the BPU builds windows into in place. The window being
+	// fetched (pw) is the slot just before the head: popping it only moves
+	// the head, and the ring's one spare slot keeps the BPU (which builds
+	// at head+count, count < PWQueueSize) from overwriting it while it is
+	// live. Each slot owns its window's Conds array for the life of the
+	// Sim, so no window is ever copied and no array has two owners.
 	seq          uint64
 	nextPopSeq   uint64
-	pwQ          []fetch.PW // ring buffer, capacity PWQueueSize
+	pwQ          []fetch.PW // ring buffer, PWQueueSize queued slots + 1 for pw
 	pwHead       int
 	pwCount      int
-	pwCur        fetch.PW  // backing store for pw
-	pw           *fetch.PW // nil or &pwCur
+	pw           *fetch.PW // nil or the ring slot being fetched
 	pwFromOC     bool      // current PW has had at least one OC hit (switch penalty)
 	pwMode       fetchMode
 	curAddr      uint64
@@ -193,13 +207,14 @@ type Sim struct {
 	bpuStall     int64
 	fetchStall   int64
 	lastICLine   uint64
-	lcRemaining  []fItem // loop-cache emission backlog for the current PW
-	lcHead       int     // consume cursor into lcRemaining
+	lcRemaining  []fItem  // loop-cache emission backlog for the current PW
+	lcHead       int      // consume cursor into lcRemaining
+	loopIDs      []uint32 // captureLoopAt scratch (the loop cache copies it)
 	wrongPath    bool
 	nextOraclePC uint64
 
 	// itemFree recycles fGroup item slices between front-end pipe pushes
-	// and drains (groups dropped by a flush are simply reallocated later).
+	// and drains; flushFrontEnd returns the slices of groups it discards.
 	itemFree [][]fItem
 
 	redirect        pendingRedirect
@@ -285,13 +300,25 @@ func newSim(cfg Config, wl *workload.Workload, oracle trace.Stream, ocCache *uop
 		be:     backend.New(cfg.Backend, hier),
 		uq:     uopq.NewQueue(cfg.UopQueueSize),
 		dec:    power.DefaultDecoderModel(),
-		ocPipe: decode.NewPipe[fGroup](cfg.OCLatency, 1, 8),
+		ocPipe: decode.NewPipe[fGroup](cfg.OCLatency, 1, ocPipeCap),
 		dcPipe: decode.NewPipe[fItem](cfg.ICFetchLatency+cfg.DecodeLatency, cfg.DecodeWidth, 64),
-		lcPipe: decode.NewPipe[fGroup](1, 1, 4),
-		pwQ:    make([]fetch.PW, maxInt(cfg.PWQueueSize, 1)),
+		lcPipe: decode.NewPipe[fGroup](1, 1, lcPipeCap),
+		// A loop body has at most one instruction per uop, and a capture
+		// may overshoot the buffer by one instruction before it is refused.
+		lcRemaining: make([]fItem, 0, cfg.Loop.MaxUops),
+		loopIDs:     make([]uint32, 0, cfg.Loop.MaxUops+1),
 	}
 	s.pwb = fetch.NewBuilder(cfg.Fetch, s.pred)
-	s.ocb = uopcache.NewBuilder(cfg.Limits, s.oc.Stats, func(e *uopcache.Entry) {
+	s.pwQ = s.pwb.NewWindows(maxInt(cfg.PWQueueSize, 1) + 1)
+	// Every group that can be in flight at once (a full OC pipe, a full LC
+	// pipe and the one being filled) gets its item slice up front; a group
+	// holds at most groupItems items, one per uop.
+	slab := make([]fItem, (ocPipeCap+lcPipeCap+1)*groupItems)
+	s.itemFree = make([][]fItem, 0, ocPipeCap+lcPipeCap+1)
+	for i := 0; i < cap(s.itemFree); i++ {
+		s.itemFree = append(s.itemFree, slab[i*groupItems:i*groupItems:(i+1)*groupItems])
+	}
+	s.ocb = uopcache.NewBuilder(cfg.Limits, s.oc, func(e *uopcache.Entry) {
 		s.oc.Fill(e)
 		if s.obs != nil {
 			s.obs.Event(Event{Cycle: s.cycle, Kind: EvFill, Addr: e.Start, A: int32(e.NumUops)})
@@ -371,8 +398,9 @@ func (s *Sim) InvalidateCodeLine(addr uint64) int {
 	return n
 }
 
-// PW ring-buffer accessors. Indices are relative to the queue head; callers
-// never hold more than pwCount entries, so a single wrap subtraction suffices.
+// PW ring-buffer accessors. Indices are relative to the queue head and stay
+// below len(pwQ), so a single wrap subtraction suffices. bpuStep builds the
+// next window in place at pwAt(pwCount).
 
 func (s *Sim) pwAt(i int) *fetch.PW {
 	j := s.pwHead + i
@@ -380,15 +408,6 @@ func (s *Sim) pwAt(i int) *fetch.PW {
 		j -= len(s.pwQ)
 	}
 	return &s.pwQ[j]
-}
-
-func (s *Sim) pwPush(pw fetch.PW) {
-	j := s.pwHead + s.pwCount
-	if j >= len(s.pwQ) {
-		j -= len(s.pwQ)
-	}
-	s.pwQ[j] = pw
-	s.pwCount++
 }
 
 func (s *Sim) pwPopN(n int) {
@@ -405,7 +424,8 @@ func (s *Sim) pwClear() {
 
 // getItems/putItems recycle fGroup item slices. A group's items are fully
 // copied into the uop queue when the group drains, so the slice can be reused
-// the moment popGroup returns.
+// the moment popGroup returns; a flush returns the slices of the groups it
+// discards.
 
 //uopvet:hotpath
 func (s *Sim) getItems() []fItem {
@@ -414,7 +434,7 @@ func (s *Sim) getItems() []fItem {
 		s.itemFree = s.itemFree[:n-1]
 		return it
 	}
-	return make([]fItem, 0, 8)
+	return make([]fItem, 0, groupItems)
 }
 
 //uopvet:hotpath

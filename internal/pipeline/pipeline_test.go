@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"uopsim/internal/decode"
 	"uopsim/internal/trace"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/workload"
@@ -307,5 +308,43 @@ func TestRunToEndOnFiniteTrace(t *testing.T) {
 	}
 	if sim.Insts() != 5_000 {
 		t.Errorf("insts = %d", sim.Insts())
+	}
+}
+
+// TestFlushRecyclesInFlightGroups pins the flush path of the fetch-group
+// item pool: every group still queued in the uop cache and loop cache read
+// pipes when the front end is redirected hands its item slice back to
+// itemFree instead of being dropped with its pipe slot.
+func TestFlushRecyclesInFlightGroups(t *testing.T) {
+	s, err := New(DefaultConfig(), buildWL(t, "bm_cc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged := map[*fItem]bool{}
+	stage := func(p *decode.Pipe[fGroup], c int64) {
+		items, it := growItems(s.getItems())
+		it.seq = uint64(c)
+		staged[&items[0]] = true
+		*p.Push(c) = fGroup{items: items, uops: 1}
+	}
+	for c := int64(1); c <= 3; c++ {
+		stage(s.ocPipe, c)
+	}
+	for c := int64(1); c <= 2; c++ {
+		stage(s.lcPipe, c)
+	}
+	const n = 5
+	before := len(s.itemFree)
+	s.flushFrontEnd(10, s.prog.Entry, true)
+	if got := len(s.itemFree) - before; got != n {
+		t.Fatalf("flush returned %d item slices to the pool, want %d (one per in-flight group)", got, n)
+	}
+	for _, items := range s.itemFree[before:] {
+		if len(items) != 0 || !staged[&items[:1][0]] {
+			t.Fatal("the pool got back a slice that is not an emptied in-flight group's")
+		}
+	}
+	if s.ocPipe.Len() != 0 || s.lcPipe.Len() != 0 {
+		t.Fatal("flush left groups in flight")
 	}
 }

@@ -92,11 +92,21 @@ func (l *line) fits(e *Entry, maxEntries int) bool {
 }
 
 // Cache is the set-associative uop cache.
+//
+// The cache owns every entry its builders fill: an entry that leaves (a
+// fillAlone or forced-PWAC victim, a dedupe, an SMC invalidation, FlushAll)
+// goes onto free, and builders take their next entries from there, so the
+// steady-state fill path allocates nothing. That is safe because no caller
+// keeps an *Entry across a fill: the pipeline reads the entry Lookup
+// returned within the same cycle's fetch step, and fills only happen later,
+// at decode drain. Two SMT threads share one cache and therefore one free
+// list; they step on one goroutine.
 type Cache struct {
 	cfg   Config
 	sets  int
 	lines []line // sets * ways
 	tick  uint64
+	free  []*Entry
 
 	// Stats is the observable sink; never nil.
 	Stats *Stats
@@ -108,12 +118,56 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	sets := cfg.CapacityUops / 8 / cfg.Ways
-	return &Cache{
+	c := &Cache{
 		cfg:   cfg,
 		sets:  sets,
 		lines: make([]line, sets*cfg.Ways),
 		Stats: NewStats(),
-	}, nil
+	}
+	// Every line's entry list is a fixed window of one shared array, so
+	// compaction never grows a line's slice on the fill path.
+	per := cfg.MaxEntriesPerLine
+	slots := make([]*Entry, len(c.lines)*per)
+	for i := range c.lines {
+		c.lines[i].entries = slots[i*per : i*per : (i+1)*per]
+	}
+	// The free list starts with as many entries as the lines can hold
+	// resident, carved from two arrays, so a steady-state fill never
+	// allocates. An entry a builder holds open while every line is full
+	// comes from newEntry's fallback once and is recycled from then on.
+	n := len(slots)
+	entries := make([]Entry, n)
+	ids := make([]uint32, n*maxEntryInsts)
+	c.free = make([]*Entry, n)
+	for i := range entries {
+		entries[i].InstIDs = ids[i*maxEntryInsts : i*maxEntryInsts : (i+1)*maxEntryInsts]
+		c.free[i] = &entries[n-1-i]
+	}
+	return c, nil
+}
+
+// reuse pops a cleared entry off the free list, or returns nil when it is
+// empty. The entry keeps its InstIDs array.
+func (c *Cache) reuse() *Entry {
+	n := len(c.free)
+	if n == 0 {
+		return nil
+	}
+	e := c.free[n-1]
+	c.free = c.free[:n-1]
+	*e = Entry{InstIDs: e.InstIDs[:0]}
+	return e
+}
+
+// release hands an entry that left the cache back to the free list.
+func (c *Cache) release(e *Entry) { c.free = append(c.free, e) }
+
+// releaseAll releases every entry of l and empties it.
+func (c *Cache) releaseAll(l *line) {
+	for _, e := range l.entries {
+		c.release(e)
+	}
+	l.entries = l.entries[:0]
 }
 
 // Sets returns the set count.
@@ -168,10 +222,13 @@ func (c *Cache) Probe(addr uint64) (*Entry, bool) {
 }
 
 // Fill installs a terminated entry according to the configured allocation
-// policy. Entries wider than a line are rejected (builder bug guard).
+// policy; the cache owns e from then on. Entries wider than a line are
+// rejected (builder bug guard).
+//
+//uopvet:hotpath
 func (c *Cache) Fill(e *Entry) {
 	if e.Bytes() > LineBytes {
-		panic(fmt.Sprintf("uopcache: entry of %d bytes exceeds line", e.Bytes()))
+		panicOversized(e)
 	}
 	c.Stats.noteFillShape(e)
 
@@ -205,6 +262,11 @@ func (c *Cache) Fill(e *Entry) {
 	}
 }
 
+// panicOversized is Fill's builder-bug guard, kept out of the hot function.
+func panicOversized(e *Entry) {
+	panic(fmt.Sprintf("uopcache: entry of %d bytes exceeds line", e.Bytes()))
+}
+
 // dedupe removes a stale entry with the same start address (re-decode after
 // a wrong-path fill or a changed entry shape).
 func (c *Cache) dedupe(set int, e *Entry) {
@@ -214,6 +276,7 @@ func (c *Cache) dedupe(set int, e *Entry) {
 		for i, old := range l.entries {
 			if old.Start == e.Start {
 				l.entries = append(l.entries[:i], l.entries[i+1:]...)
+				c.release(old)
 				c.Stats.FillsDeduped.Inc()
 				return
 			}
@@ -242,7 +305,7 @@ func (c *Cache) fillAlone(set int, e *Entry) {
 		c.Stats.EntryEvict.Add(uint64(len(ways[victim].entries)))
 	}
 	l := &ways[victim]
-	l.entries = l.entries[:0]
+	c.releaseAll(l)
 	l.entries = append(l.entries, e)
 	c.touch(l)
 	c.Stats.FillsAlone.Inc()
@@ -323,7 +386,7 @@ func (c *Cache) tryForcedPWAC(set int, e *Entry) bool {
 			c.Stats.LineEvictions.Inc()
 			c.Stats.EntryEvict.Add(uint64(len(dst.entries)))
 		}
-		dst.entries = dst.entries[:0]
+		c.releaseAll(dst)
 		for i, old := range l.entries {
 			if i != si {
 				dst.entries = append(dst.entries, old)
@@ -370,6 +433,7 @@ func (c *Cache) InvalidateCodeLine(lineAddr uint64) int {
 			for _, e := range l.entries {
 				if e.OverlapsLine(lineAddr) {
 					invalidated++
+					c.release(e)
 				} else {
 					kept = append(kept, e)
 				}
@@ -384,7 +448,7 @@ func (c *Cache) InvalidateCodeLine(lineAddr uint64) int {
 // FlushAll empties the cache (used by tests and SMC fallback comparisons).
 func (c *Cache) FlushAll() {
 	for i := range c.lines {
-		c.lines[i].entries = nil
+		c.releaseAll(&c.lines[i])
 		c.lines[i].tick = 0
 	}
 }

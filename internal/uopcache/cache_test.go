@@ -343,3 +343,88 @@ func TestCompactionInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestEntryRecycling fills, evicts and refills a 2-way, single-set cache
+// through a builder that takes its entries from the cache's free list,
+// under every fill policy, with flush-abandoned partial entries, dedupes
+// and SMC invalidations mixed in. A recycled entry must never be reachable
+// twice: every resident entry is a distinct object with its own InstIDs
+// array, holding exactly the instructions it was built from. Once warm,
+// the fill path allocates nothing.
+func TestEntryRecycling(t *testing.T) {
+	for _, alloc := range []Alloc{AllocNone, AllocRAC, AllocPWAC, AllocFPWAC} {
+		maxE := 1
+		if alloc != AllocNone {
+			maxE = 2
+		}
+		c := newCache(t, Config{CapacityUops: 16, Ways: 2, MaxEntriesPerLine: maxE, Alloc: alloc, MaxICLines: 1})
+		b := NewBuilder(DefaultLimits(), c, c.Fill)
+		r := rng.New(uint64(alloc) + 7)
+		pwInst := uint64(0)
+		// Instruction IDs encode their address, so an entry's IDs can be
+		// checked against its [Start, End) range.
+		window := func() {
+			pwInst++
+			start := uint64(0x1000 + r.Intn(12)*16)
+			n := r.Range(1, 4)
+			for i := 0; i < n; i++ {
+				addr := start + uint64(i*4)
+				b.Add(mkInst(uint32(addr), addr, 4, uint8(r.Range(1, 2)), 0, false), start&^0x1f, pwInst, i == n-1)
+			}
+			switch r.Intn(16) {
+			case 0:
+				b.Add(mkInst(0x9000, 0x9000, 4, 1, 0, false), 0x9000, pwInst+1, false)
+				b.Flush() // abandon a partial entry
+			case 1:
+				c.InvalidateCodeLine(start)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			window()
+		}
+		seen := map[*Entry]bool{}
+		arrays := map[*uint32]*Entry{}
+		for w := range c.setLines(0) {
+			for _, e := range c.setLines(0)[w].entries {
+				if seen[e] {
+					t.Fatalf("%v: entry %#x resident twice", alloc, e.Start)
+				}
+				seen[e] = true
+				data := &e.InstIDs[:1][0]
+				if other, ok := arrays[data]; ok {
+					t.Fatalf("%v: entries %#x and %#x share an InstIDs array", alloc, e.Start, other.Start)
+				}
+				arrays[data] = e
+				if e.End != e.Start+uint64(4*len(e.InstIDs)) {
+					t.Fatalf("%v: entry [%#x,%#x) holds %d instructions", alloc, e.Start, e.End, len(e.InstIDs))
+				}
+				for i, id := range e.InstIDs {
+					if id != uint32(e.Start)+uint32(4*i) {
+						t.Fatalf("%v: entry %#x instruction %d has ID %#x (overwritten after recycling?)", alloc, e.Start, i, id)
+					}
+				}
+			}
+		}
+		if len(seen) == 0 {
+			t.Fatalf("%v: nothing resident", alloc)
+		}
+		// Every entry has exactly one owner: resident, free, or the
+		// builder's open entry.
+		for _, e := range c.free {
+			if seen[e] {
+				t.Fatalf("%v: resident entry %#x is also on the free list", alloc, e.Start)
+			}
+			seen[e] = true
+		}
+		if b.open != nil && seen[b.open] {
+			t.Fatalf("%v: the builder's open entry is resident or free", alloc)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			for i := 0; i < 50; i++ {
+				window()
+			}
+		}); n != 0 {
+			t.Errorf("%v: warmed fill path allocates %.1f objects per 50 windows", alloc, n)
+		}
+	}
+}

@@ -26,6 +26,11 @@ const (
 	ICLineBytes = 64
 )
 
+// maxEntryInsts bounds the instructions of one entry: every instruction has
+// at least one uop, and a line holds at most this many uops beside the ctr
+// field. Entry ID lists are allocated at this capacity once.
+const maxEntryInsts = (LineBytes - CtrBytes) / UopBytes
+
 // TermReason records why an entry was terminated (§II-B2).
 type TermReason uint8
 
@@ -135,6 +140,7 @@ type Builder struct {
 
 	emit  func(*Entry)
 	stats *Stats
+	cache *Cache // owner of the entry free list
 
 	// Fig 12 bookkeeping: how many entries received uops from the current
 	// dynamic prediction window.
@@ -146,17 +152,27 @@ type Builder struct {
 	abandoned uint64
 }
 
-// NewBuilder creates a builder with the given limits; emit is invoked for
-// every terminated entry, and per-PW distribution statistics are recorded in
-// st (which may be the cache's Stats).
-func NewBuilder(limits BuildLimits, st *Stats, emit func(*Entry)) *Builder {
+// NewBuilder creates a builder with the given limits for cache c; emit is
+// invoked for every terminated entry (normally c.Fill). The builder records
+// per-PW distribution statistics in c.Stats and takes its entries from c's
+// free list, handing back the partial entries a flush discards.
+func NewBuilder(limits BuildLimits, c *Cache, emit func(*Entry)) *Builder {
 	if limits.MaxICLines < 1 {
 		limits.MaxICLines = 1
 	}
-	if st == nil {
-		st = NewStats()
+	return &Builder{limits: limits, emit: emit, cache: c, stats: c.Stats}
+}
+
+// newEntry returns a cleared entry starting at addr, recycled from the
+// cache's free list when one is available. A fresh entry's InstIDs gets its
+// full capacity up front, so no entry's ID list ever regrows.
+func (b *Builder) newEntry(addr, pwID uint64) *Entry {
+	e := b.cache.reuse()
+	if e == nil {
+		e = &Entry{InstIDs: make([]uint32, 0, maxEntryInsts)}
 	}
-	return &Builder{limits: limits, stats: st, emit: emit}
+	e.Start, e.End, e.PWID = addr, addr, pwID
+	return e
 }
 
 func icLine(addr uint64) uint64 { return addr &^ uint64(ICLineBytes-1) }
@@ -167,6 +183,8 @@ func icLine(addr uint64) uint64 { return addr &^ uint64(ICLineBytes-1) }
 // unique number per dynamic PW (Fig 12 accounting), and predictedTaken marks
 // instructions that end their PW as a predicted taken branch (which also
 // terminates the entry).
+//
+//uopvet:hotpath
 func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool) {
 	if pwInstance != b.curPWInstance {
 		if b.curPWInstance != 0 && b.entriesForPW > 0 {
@@ -216,7 +234,7 @@ func (b *Builder) Add(in *isa.Inst, pwID, pwInstance uint64, predictedTaken bool
 	}
 
 	if b.open == nil {
-		b.open = &Entry{Start: in.Addr, End: in.Addr, PWID: pwID}
+		b.open = b.newEntry(in.Addr, pwID)
 		b.openLines = 1
 		b.countedThisEntry = false
 	}
@@ -246,7 +264,11 @@ func (b *Builder) terminate(reason TermReason) {
 	e := b.open
 	b.open = nil
 	b.openLines = 0
-	if e == nil || len(e.InstIDs) == 0 {
+	if e == nil {
+		return
+	}
+	if len(e.InstIDs) == 0 {
+		b.cache.release(e)
 		return
 	}
 	e.Term = reason
@@ -268,8 +290,11 @@ func (b *Builder) TerminateTaken() {
 // the accumulation buffer contents on a flush rather than installing a
 // half-built entry.
 func (b *Builder) Flush() {
-	if b.open != nil && len(b.open.InstIDs) > 0 {
-		b.abandoned++
+	if b.open != nil {
+		if len(b.open.InstIDs) > 0 {
+			b.abandoned++
+		}
+		b.cache.release(b.open)
 	}
 	b.open = nil
 	b.openLines = 0

@@ -28,9 +28,19 @@ func seqInsts(base uint64, n int, length, uops, imm uint8) []*isa.Inst {
 	return insts
 }
 
+// builderCache is the cache a builder test takes its entries from; the
+// tests collect the emitted entries instead of filling it.
+func builderCache() *Cache {
+	c, err := New(DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 func collectEntries(limits BuildLimits) (*Builder, *[]*Entry) {
 	var out []*Entry
-	b := NewBuilder(limits, nil, func(e *Entry) { out = append(out, e) })
+	b := NewBuilder(limits, builderCache(), func(e *Entry) { out = append(out, e) })
 	return b, &out
 }
 
@@ -196,9 +206,10 @@ func TestBuilderTerminateTaken(t *testing.T) {
 }
 
 func TestEntriesPerPWAccounting(t *testing.T) {
-	st := NewStats()
+	c := builderCache()
+	st := c.Stats
 	var out []*Entry
-	b := NewBuilder(DefaultLimits(), st, func(e *Entry) { out = append(out, e) })
+	b := NewBuilder(DefaultLimits(), c, func(e *Entry) { out = append(out, e) })
 	// PW 1: 4 insts of 3 uops -> splits into two entries (8-uop limit).
 	insts := seqInsts(0x1000, 4, 4, 3, 0)
 	for _, in := range insts {
@@ -230,7 +241,7 @@ func TestEntryNeverOverflowsLine(t *testing.T) {
 		}
 		ok := true
 		var emitted []*Entry
-		b := NewBuilder(limits, nil, func(e *Entry) { emitted = append(emitted, e) })
+		b := NewBuilder(limits, builderCache(), func(e *Entry) { emitted = append(emitted, e) })
 		addr := uint64(0x1000)
 		pw := uint64(0x1000)
 		pwInst := uint64(1)

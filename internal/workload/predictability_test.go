@@ -34,8 +34,9 @@ func offlineAccuracy(t *testing.T, name string, n int, verbose bool) float64 {
 		}
 		if in.Branch == isa.BranchCond {
 			conds++
-			p := tg.Predict(in.Addr, h)
-			tg.Update(in.Addr, h, p, rec.Taken)
+			var p bpred.Pred
+			tg.Predict(in.Addr, h, &p)
+			tg.Update(in.Addr, h, &p, rec.Taken)
 			if cb := wl.Behaviors.Cond[in.ID]; cb != nil {
 				dynByKind[cb.Kind]++
 				if p.Taken != rec.Taken {
@@ -98,8 +99,9 @@ func TestCalibrationReport(t *testing.T) {
 			}
 			if in.Branch == isa.BranchCond {
 				conds++
-				p := tg.Predict(in.Addr, h)
-				tg.Update(in.Addr, h, p, rec.Taken)
+				var p bpred.Pred
+				tg.Predict(in.Addr, h, &p)
+				tg.Update(in.Addr, h, &p, rec.Taken)
 				if p.Taken != rec.Taken {
 					miss++
 				}
@@ -163,8 +165,9 @@ func TestMPKIRankSanity(t *testing.T) {
 				continue
 			}
 			if in.Branch == isa.BranchCond {
-				p := tg.Predict(in.Addr, h)
-				tg.Update(in.Addr, h, p, rec.Taken)
+				var p bpred.Pred
+				tg.Predict(in.Addr, h, &p)
+				tg.Update(in.Addr, h, &p, rec.Taken)
 				if p.Taken != rec.Taken {
 					miss++
 				}

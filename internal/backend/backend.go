@@ -124,8 +124,11 @@ func (b *Backend) CanDispatch() bool {
 }
 
 // Dispatch enters a correct-path uop at cycle and returns its completion
-// (branch resolution) cycle. Callers must check CanDispatch.
-func (b *Backend) Dispatch(cycle int64, u uopq.Uop) int64 {
+// (branch resolution) cycle. u is read in place (the uop queue's head
+// slot) and not retained. Callers must check CanDispatch.
+//
+//uopvet:hotpath
+func (b *Backend) Dispatch(cycle int64, u *uopq.Uop) int64 {
 	if !b.CanDispatch() {
 		panic("backend: dispatch without capacity")
 	}
@@ -153,7 +156,7 @@ func (b *Backend) Dispatch(cycle int64, u uopq.Uop) int64 {
 		ready = b.lastUopDone
 	}
 
-	use, n, lat, busy := b.classify(&u)
+	use, n, lat, busy := b.classify(u)
 	issue := b.reservePort(use, n, ready, int64(busy))
 	b.latDep.Add(uint64(ready - (cycle + 1)))
 	b.latPort.Add(uint64(issue - ready))
@@ -173,7 +176,10 @@ func (b *Backend) Dispatch(cycle int64, u uopq.Uop) int64 {
 	b.lastInst = in
 	b.lastUopDone = done
 
-	tail := (b.robHead + b.robLen) % len(b.rob)
+	tail := b.robHead + b.robLen
+	if tail >= len(b.rob) {
+		tail -= len(b.rob)
+	}
 	b.rob[tail] = robEntry{done: done, uops: 1, isBranch: in.IsBranch(), fetchCycle: u.FetchCycle}
 	b.robLen++
 
@@ -267,7 +273,10 @@ func (b *Backend) Commit(cycle int64) int {
 		if e.done > cycle {
 			break
 		}
-		b.robHead = (b.robHead + 1) % len(b.rob)
+		b.robHead++
+		if b.robHead == len(b.rob) {
+			b.robHead = 0
+		}
 		b.robLen--
 		b.retiredUops.Inc()
 		n++

@@ -16,8 +16,8 @@ func aluInst(dest, src uint8) *isa.Inst {
 	return &isa.Inst{Class: isa.ClassALU, NumUops: 1, Dest: dest, Src1: src, Src2: isa.RegNone}
 }
 
-func uopOf(in *isa.Inst) uopq.Uop {
-	return uopq.Uop{Inst: in, UopIdx: 0, LastOfInst: true}
+func uopOf(in *isa.Inst) *uopq.Uop {
+	return &uopq.Uop{Inst: in, UopIdx: 0, LastOfInst: true}
 }
 
 func TestDispatchAndCommit(t *testing.T) {

@@ -8,21 +8,14 @@ import (
 	"uopsim/internal/rng"
 )
 
-// foldReference recomputes a folded history from the raw bit window, the
-// slow way, to verify the incremental CSR update.
-func foldReference(bits []uint32, origLen, compLen int) uint32 {
+// foldReference recomputes a folded register from its definition, the slow
+// way: the XOR over i < origLen of bit i (raw[0] = most recent) shifted to
+// position i mod compLen.
+func foldReference(raw []uint32, origLen, compLen int) uint32 {
 	var comp uint32
-	// Repeated insertion, mirroring the incremental update applied to an
-	// initially empty history: bits[len-1] is the oldest.
-	f := newFolded(origLen, compLen)
-	for i := len(bits) - 1; i >= 0; i-- {
-		var old uint32
-		if i+origLen < len(bits) {
-			old = bits[i+origLen]
-		}
-		f.update(bits[i], old)
+	for i := 0; i < origLen && i < len(raw); i++ {
+		comp ^= raw[i] << uint(i%compLen)
 	}
-	comp = f.value()
 	return comp
 }
 
@@ -36,9 +29,8 @@ func TestFoldedHistoryMatchesReference(t *testing.T) {
 			raw = append([]uint32{b}, raw...)
 			h.Shift(b == 1)
 		}
-		for t := 0; t < numTables; t++ {
-			want := foldReference(raw, histLens[t], int(h.idx[t].compLen))
-			if h.idx[t].value() != want {
+		for k := range h.fold {
+			if h.fold[k] != foldReference(raw, int(foldGeoms[k].len), int(foldGeoms[k].width)) {
 				return false
 			}
 		}
@@ -48,13 +40,44 @@ func TestFoldedHistoryMatchesReference(t *testing.T) {
 	}
 }
 
+// TestRefoldMatchesIncremental is the property Redirect rests on: after
+// every shift of a random sequence, folding the raw window from scratch
+// reproduces every incrementally maintained register (index and both tag
+// registers of every table).
+func TestRefoldMatchesIncremental(t *testing.T) {
+	r := rng.New(11)
+	h := NewHistory()
+	var fresh History
+	for i := 0; i < 5000; i++ {
+		h.Shift(r.Intn(2) == 1)
+		fresh.set(&h.bits)
+		if fresh.fold != h.fold {
+			for k := range h.fold {
+				if fresh.fold[k] != h.fold[k] {
+					t.Fatalf("shift %d: register %d (len %d, width %d) refolds to %#x, incremental %#x",
+						i, k, foldGeoms[k].len, foldGeoms[k].width, fresh.fold[k], h.fold[k])
+				}
+			}
+		}
+	}
+}
+
 func TestHistoryBitWindow(t *testing.T) {
 	h := NewHistory()
 	h.Shift(true)
 	h.Shift(false)
 	h.Shift(true) // most recent
-	if h.bit(0) != 1 || h.bit(1) != 0 || h.bit(2) != 1 {
-		t.Errorf("bits = %d%d%d, want 101", h.bit(0), h.bit(1), h.bit(2))
+	if w := &h.bits; w.bit(0) != 1 || w.bit(1) != 0 || w.bit(2) != 1 {
+		t.Errorf("bits = %d%d%d, want 101", w.bit(0), w.bit(1), w.bit(2))
+	}
+	// The window carries across word boundaries up to the longest history.
+	var w window
+	w.shift(true)
+	for i := 0; i < histLens[numTables-1]-1; i++ {
+		w.shift(false)
+	}
+	if w.bit(histLens[numTables-1]-1) != 1 {
+		t.Error("oldest bit of the longest history lost across words")
 	}
 }
 
@@ -63,17 +86,14 @@ func TestHistoryCopyRestore(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.Shift(i%3 == 0)
 	}
-	var b History
-	b.CopyFrom(a)
+	b := *a
 	a.Shift(true) // diverge
-	if b.bit(0) == a.bit(0) && b.idx[3].value() == a.idx[3].value() {
+	if b.bits == a.bits && b.fold[foldIdx+3] == a.fold[foldIdx+3] {
 		t.Error("copy did not snapshot independent state")
 	}
-	a.CopyFrom(&b)
-	for tbl := 0; tbl < numTables; tbl++ {
-		if a.idx[tbl].value() != b.idx[tbl].value() {
-			t.Fatal("restore incomplete")
-		}
+	*a = b
+	if a.fold != b.fold || a.bits != b.bits {
+		t.Fatal("restore incomplete")
 	}
 }
 
@@ -208,7 +228,7 @@ func TestRASOverflowWrap(t *testing.T) {
 
 func TestITPLearnsStableTarget(t *testing.T) {
 	itp := NewITP()
-	h := NewHistory()
+	var h uint64
 	pc := uint64(0x5000)
 	for i := 0; i < 4; i++ {
 		itp.Update(pc, h, 0x9000)
@@ -220,7 +240,7 @@ func TestITPLearnsStableTarget(t *testing.T) {
 
 func TestITPRetargetsAfterConfidenceDrains(t *testing.T) {
 	itp := NewITP()
-	h := NewHistory()
+	var h uint64
 	pc := uint64(0x5000)
 	for i := 0; i < 4; i++ {
 		itp.Update(pc, h, 0x9000)
@@ -237,35 +257,45 @@ func TestITPHistoryContext(t *testing.T) {
 	// The same indirect branch with different histories can hold different
 	// targets (the point of history hashing).
 	itp := NewITP()
-	h1, h2 := NewHistory(), NewHistory()
+	var h1, h2 window
 	for i := 0; i < 40; i++ {
-		h2.Shift(true)
+		h2.shift(true)
 	}
 	pc := uint64(0x5000)
 	for i := 0; i < 4; i++ {
-		itp.Update(pc, h1, 0x9000)
-		itp.Update(pc, h2, 0xA000)
+		itp.Update(pc, h1[0], 0x9000)
+		itp.Update(pc, h2[0], 0xA000)
 	}
-	t1, ok1 := itp.Predict(pc, h1)
-	t2, ok2 := itp.Predict(pc, h2)
+	t1, ok1 := itp.Predict(pc, h1[0])
+	t2, ok2 := itp.Predict(pc, h2[0])
 	if !ok1 || !ok2 || t1 != 0x9000 || t2 != 0xA000 {
 		t.Errorf("context targets: (%#x,%v) (%#x,%v)", t1, ok1, t2, ok2)
 	}
 }
 
+// TestPredictorRedirectRestoresSpec: after wrong-path shifts, Redirect
+// leaves the speculative history equal, window and folds, to a fresh one
+// shifted with the correct-path outcomes only.
 func TestPredictorRedirectRestoresSpec(t *testing.T) {
 	p := New()
-	// Train both views identically.
-	for i := 0; i < 10; i++ {
-		p.SpecShift(true)
-		p.ArchShift(true)
-	}
-	// Wrong-path speculation diverges the spec view.
-	p.SpecShift(false)
-	p.SpecShift(false)
-	p.Redirect()
-	if p.spec.bit(0) != p.arch.bit(0) || p.spec.idx[2].value() != p.arch.idx[2].value() {
-		t.Error("redirect did not restore speculative history")
+	want := NewHistory()
+	r := rng.New(3)
+	for round := 0; round < 50; round++ {
+		// Correct path: both views advance.
+		for i := 0; i < 1+r.Intn(40); i++ {
+			taken := r.Intn(2) == 1
+			p.SpecShift(taken)
+			p.ArchShift(taken)
+			want.Shift(taken)
+		}
+		// Wrong-path speculation diverges the spec view only.
+		for i := 0; i < 1+r.Intn(20); i++ {
+			p.SpecShift(r.Intn(2) == 1)
+		}
+		p.Redirect()
+		if p.spec != *want {
+			t.Fatalf("round %d: redirect left spec %+v, want %+v", round, p.spec, *want)
+		}
 	}
 }
 

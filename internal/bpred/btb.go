@@ -20,18 +20,24 @@ func (b BTBBranch) FallThrough(lineAddr uint64) uint64 {
 }
 
 // btbEntry covers one 64-byte code line and records up to two branches in it
-// (Table I: "2 branches per BTB entry").
+// (Table I: "2 branches per BTB entry"). Its line tag lives in the level's
+// tag array.
 type btbEntry struct {
-	valid    bool
-	tag      uint64
 	branches [2]BTBBranch
 	lruTick  uint64
 }
 
-// btbLevel is one set-associative level of the BTB.
+// noLine tags an invalid way: line addresses are 64-byte aligned, so no
+// line ever has this tag.
+const noLine = ^uint64(0)
+
+// btbLevel is one set-associative level of the BTB. tags[i] is the line
+// held by data[i] (noLine when the way is invalid): a lookup scans the
+// dense tag array and touches an entry only on a hit.
 type btbLevel struct {
 	sets  int
 	ways  int
+	tags  []uint64   // sets*ways
 	data  []btbEntry // sets*ways
 	ticks uint64
 
@@ -42,7 +48,12 @@ type btbLevel struct {
 }
 
 func newBTBLevel(sets, ways int) *btbLevel {
-	return &btbLevel{sets: sets, ways: ways, data: make([]btbEntry, sets*ways), scratch: make([]*btbEntry, 0, ways)}
+	l := &btbLevel{sets: sets, ways: ways, tags: make([]uint64, sets*ways), data: make([]btbEntry, sets*ways),
+		scratch: make([]*btbEntry, 0, ways)}
+	for i := range l.tags {
+		l.tags[i] = noLine
+	}
+	return l
 }
 
 const lineShift = 6 // 64B lines
@@ -53,12 +64,12 @@ const lineShift = 6 // 64B lines
 //
 //uopvet:hotpath
 func (l *btbLevel) lookup(lineAddr uint64) []*btbEntry {
-	set := int(lineAddr>>lineShift) & (l.sets - 1)
-	base := set * l.ways
+	base := (int(lineAddr>>lineShift) & (l.sets - 1)) * l.ways
+	tags := l.tags[base : base+l.ways]
 	hits := l.scratch[:0]
-	for w := 0; w < l.ways; w++ {
-		e := &l.data[base+w]
-		if e.valid && e.tag == lineAddr {
+	for w, tag := range tags {
+		if tag == lineAddr {
+			e := &l.data[base+w]
 			l.ticks++
 			e.lruTick = l.ticks
 			hits = append(hits, e)
@@ -70,16 +81,14 @@ func (l *btbLevel) lookup(lineAddr uint64) []*btbEntry {
 
 // install copies entry src (or allocates fresh) for lineAddr and returns it.
 func (l *btbLevel) install(lineAddr uint64, src *btbEntry) *btbEntry {
-	set := int(lineAddr>>lineShift) & (l.sets - 1)
-	base := set * l.ways
+	base := (int(lineAddr>>lineShift) & (l.sets - 1)) * l.ways
 	victim := base
 	for w := 0; w < l.ways; w++ {
-		e := &l.data[base+w]
-		if !e.valid {
+		if l.tags[base+w] == noLine {
 			victim = base + w
 			break
 		}
-		if e.lruTick < l.data[victim].lruTick {
+		if l.data[base+w].lruTick < l.data[victim].lruTick {
 			victim = base + w
 		}
 	}
@@ -89,8 +98,7 @@ func (l *btbLevel) install(lineAddr uint64, src *btbEntry) *btbEntry {
 	} else {
 		*e = btbEntry{}
 	}
-	e.valid = true
-	e.tag = lineAddr
+	l.tags[victim] = lineAddr
 	l.ticks++
 	e.lruTick = l.ticks
 	return e

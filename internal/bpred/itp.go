@@ -23,20 +23,23 @@ func NewITP() *ITP {
 	return &ITP{entries: make([]itpEntry, n), mask: n - 1}
 }
 
-func (p *ITP) hash(pc uint64, h *History) (idx, tag uint32) {
-	hist := uint32(h.bits[0]) // most recent 32 direction bits
-	v := uint32(pc>>1) ^ hist ^ (hist << 7)
+// hash indexes and tags the table by pc and the most recent 32 direction
+// bits of hist (bit 0 newest).
+func (p *ITP) hash(pc, hist uint64) (idx, tag uint32) {
+	h := uint32(hist)
+	v := uint32(pc>>1) ^ h ^ (h << 7)
 	idx = v & p.mask
-	tag = uint32(pc>>1) ^ (hist >> 3)
+	tag = uint32(pc>>1) ^ (h >> 3)
 	tag &= 0xffff
 	return idx, tag
 }
 
-// Predict returns the predicted target for the indirect branch at pc, or
-// ok=false when no confident entry exists.
-func (p *ITP) Predict(pc uint64, h *History) (target uint64, ok bool) {
+// Predict returns the predicted target for the indirect branch at pc under
+// the most recent history bits hist, or ok=false when no confident entry
+// exists.
+func (p *ITP) Predict(pc, hist uint64) (target uint64, ok bool) {
 	p.lookups++
-	idx, tag := p.hash(pc, h)
+	idx, tag := p.hash(pc, hist)
 	e := &p.entries[idx]
 	if e.tag == tag && e.conf >= 0 {
 		p.hits++
@@ -45,9 +48,9 @@ func (p *ITP) Predict(pc uint64, h *History) (target uint64, ok bool) {
 	return 0, false
 }
 
-// Update trains the predictor with the resolved target.
-func (p *ITP) Update(pc uint64, h *History, target uint64) {
-	idx, tag := p.hash(pc, h)
+// Update trains the predictor with the resolved target under history hist.
+func (p *ITP) Update(pc, hist, target uint64) {
+	idx, tag := p.hash(pc, hist)
 	e := &p.entries[idx]
 	if e.tag == tag {
 		if e.target == target {

@@ -66,12 +66,12 @@ type Pred struct {
 }
 
 func (t *Tage) index(pc uint64, h *History, table int) uint32 {
-	v := uint32(pc>>2) ^ uint32(pc>>(2+logEntries)) ^ h.idx[table].value() ^ uint32(table)*0x9e37
+	v := uint32(pc>>2) ^ uint32(pc>>(2+logEntries)) ^ h.fold[foldIdx+table] ^ uint32(table)*0x9e37
 	return v & ((1 << logEntries) - 1)
 }
 
 func (t *Tage) tag(pc uint64, h *History, table int) uint16 {
-	v := uint32(pc>>2) ^ h.tag1[table].value() ^ (h.tag2[table].value() << 1)
+	v := uint32(pc>>2) ^ h.fold[foldTag1+table] ^ (h.fold[foldTag2+table] << 1)
 	return uint16(v & ((1 << uint(tagBits[table])) - 1))
 }
 
@@ -119,10 +119,9 @@ func (t *Tage) Predict(pc uint64, h *History, p *Pred) {
 }
 
 // Update trains the predictor with the resolved outcome. pred must be the
-// state Predict wrote for this branch instance, and h the history the
-// prediction was made under.
-func (t *Tage) Update(pc uint64, h *History, pred *Pred, taken bool) {
-	_ = h
+// state Predict wrote for this branch instance: it carries the indices and
+// tags the prediction consulted, so no history is needed here.
+func (t *Tage) Update(pred *Pred, taken bool) {
 	correct := pred.Taken == taken
 
 	// USE_ALT_ON_NA bookkeeping: when the provider was weak and provider

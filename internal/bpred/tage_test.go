@@ -17,7 +17,7 @@ func runTage(t *testing.T, n int, pc uint64, outcome func(i int) bool) float64 {
 		want := outcome(i)
 		var p Pred
 		tg.Predict(pc, h, &p)
-		tg.Update(pc, h, &p, want)
+		tg.Update(&p, want)
 		h.Shift(want)
 		if i >= n/2 {
 			counted++
@@ -73,7 +73,7 @@ func TestTageManyBranchesInterleaved(t *testing.T) {
 		}
 		var p Pred
 		tg.Predict(pc, h, &p)
-		tg.Update(pc, h, &p, want)
+		tg.Update(&p, want)
 		h.Shift(want)
 		if i > n/2 {
 			counted++

@@ -78,16 +78,25 @@ func runGatewayMetricsScript(t *testing.T) string {
 		}
 		return gw.Ring().Owner(string(fp))
 	}
+	// The ring hashes the shards' URLs, whose ports are random, so which
+	// shard owns a point changes from run to run. Script against the shard
+	// that owns the most of the 12 candidates: with two shards that is at
+	// least 6, whatever the ports. Its sampled point is searched over all
+	// 30 test points, so that the shard owning none of them is no real
+	// chance (2^-30).
 	cands := testPoints(12)
-	owner := ownerOf(cands[0])
-	var owned []experiments.PointRequest
+	byOwner := map[string][]experiments.PointRequest{}
+	owner := ""
 	for _, pt := range cands {
-		if ownerOf(pt) == owner {
-			owned = append(owned, pt)
+		o := ownerOf(pt)
+		byOwner[o] = append(byOwner[o], pt)
+		if len(byOwner[o]) > len(byOwner[owner]) {
+			owner = o
 		}
 	}
+	owned := byOwner[owner]
 	var sampled experiments.PointRequest
-	for _, pt := range cands {
+	for _, pt := range testPoints(30) {
 		pt.Measure = 12_000
 		pt.Sampling = &experiments.SamplingRequest{Intervals: 2, IntervalInsts: 2_000, WarmupInsts: 500}
 		if ownerOf(pt) == owner {

@@ -75,7 +75,7 @@ func (p *Pipe[T]) Push(cycle int64) *T {
 	}
 	p.pushedThis++
 	p.pushes.Inc()
-	sl := &p.slots[(p.head+p.count)%len(p.slots)]
+	sl := &p.slots[p.wrap(p.head+p.count)]
 	sl.ready = cycle + int64(p.latency)
 	p.count++
 	return &sl.value
@@ -96,14 +96,23 @@ func (p *Pipe[T]) Drop() {
 		panic("decode: drop on empty pipe")
 	}
 	p.slots[p.head] = pipeSlot[T]{}
-	p.head = (p.head + 1) % len(p.slots)
+	p.head = p.wrap(p.head + 1)
 	p.count--
 }
 
 // At returns the i-th in-flight item, oldest first (0 <= i < Len), ready
 // or not.
 func (p *Pipe[T]) At(i int) *T {
-	return &p.slots[(p.head+i)%len(p.slots)].value
+	return &p.slots[p.wrap(p.head+i)].value
+}
+
+// wrap maps a position in [0, 2*len(slots)) onto the slot ring by compare
+// and subtract: every caller adds at most the ring length to head.
+func (p *Pipe[T]) wrap(i int) int {
+	if i >= len(p.slots) {
+		i -= len(p.slots)
+	}
+	return i
 }
 
 // Len returns the number of in-flight items.
@@ -113,7 +122,7 @@ func (p *Pipe[T]) Len() int { return p.count }
 // slots are cleared: the others are already zero.
 func (p *Pipe[T]) Flush() {
 	for i := 0; i < p.count; i++ {
-		p.slots[(p.head+i)%len(p.slots)] = pipeSlot[T]{}
+		p.slots[p.wrap(p.head+i)] = pipeSlot[T]{}
 	}
 	p.head, p.count = 0, 0
 	p.lastPushCycle = -1

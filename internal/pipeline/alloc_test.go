@@ -107,10 +107,10 @@ type pointBudget struct {
 
 // pointBudgets are the committed values TestPointAllocBudget gates against.
 var pointBudgets = []pointBudget{
-	{"bm_cc", 4.11, 37163},
-	{"nutch", 4.11, 34579},
-	{"redis", 4.11, 14162},
-	{"bm_x64", 4.11, 13910},
+	{"bm_cc", 4.11, 14361},
+	{"nutch", 4.11, 14180},
+	{"redis", 4.11, 11796},
+	{"bm_x64", 4.11, 11767},
 }
 
 // budgetTolerance is how far a measurement may sit from its committed

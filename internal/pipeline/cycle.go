@@ -116,7 +116,7 @@ func (s *Sim) step() {
 		// A finite (replayed) oracle has ended: instructions fetched past
 		// the last record are wrong-path with no misprediction left to
 		// squash them, so discard them as they reach the queue head.
-		if u, ok := s.uq.Peek(); ok && u.WrongPath {
+		if u := s.uq.Peek(); u != nil && u.WrongPath {
 			s.uq.Flush()
 		}
 	}
@@ -136,8 +136,8 @@ func (s *Sim) fireExecRedirect(c int64) {
 func (s *Sim) dispatch(c int64) int {
 	s.m.robOccSum.Add(uint64(s.be.ROBOccupancy()))
 	for n := 0; n < s.cfg.DispatchWidth; n++ {
-		u, ok := s.uq.Peek()
-		if !ok {
+		u := s.uq.Peek()
+		if u == nil {
 			if n == 0 {
 				s.m.stallEmptyUQ.Inc()
 			}
@@ -155,7 +155,6 @@ func (s *Sim) dispatch(c int64) int {
 			}
 			return n
 		}
-		s.uq.Pop()
 		done := s.be.Dispatch(c, u)
 		switch u.Source {
 		case uopq.SrcUopCache:
@@ -177,6 +176,7 @@ func (s *Sim) dispatch(c int64) int {
 				s.m.mispDispToDone.Add(uint64(done - c))
 			}
 		}
+		s.uq.Pop()
 	}
 	return s.cfg.DispatchWidth
 }
@@ -275,7 +275,12 @@ func (s *Sim) popGroup(c int64, items []fItem) bool {
 func (s *Sim) pushUops(it *fItem) {
 	n := int(it.inst.NumUops)
 	for i := 0; i < n; i++ {
-		u := uopq.Uop{
+		u := s.uq.Push()
+		if u == nil {
+			panic("pipeline: uop queue overflow (space was checked)")
+		}
+		// A whole-value write: the slot may hold a popped uop.
+		*u = uopq.Uop{
 			Inst:       it.inst,
 			UopIdx:     uint8(i),
 			LastOfInst: i == n-1,
@@ -290,9 +295,6 @@ func (s *Sim) pushUops(it *fItem) {
 				u.ActualNext = it.rec.Next
 				u.Mispredicted = it.misp
 			}
-		}
-		if !s.uq.Push(u) {
-			panic("pipeline: uop queue overflow (space was checked)")
 		}
 	}
 }

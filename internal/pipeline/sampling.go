@@ -118,6 +118,9 @@ func (s *Sim) FastForward(n uint64) uint64 {
 	var skipped uint64
 	lastLine := ^uint64(0)
 	lastTarget := s.nextOraclePC
+	// Warming predicts with the speculative history, so start it equal to
+	// the architectural one; warmBranch then advances both together.
+	s.pred.Redirect()
 	for ; skipped < n && s.orOK; skipped++ {
 		rec := s.orHead
 		in := s.prog.Inst(rec.InstID)
@@ -159,19 +162,19 @@ func (s *Sim) warmBranch(in *isa.Inst, rec trace.Rec, lastTarget *uint64) {
 	switch in.Branch {
 	case isa.BranchCond:
 		s.pred.WarmCond(in.Addr, rec.Taken)
-		s.pred.ArchShift(rec.Taken)
+		s.pred.WarmShift(rec.Taken)
 		if rec.Taken {
 			s.pred.WarmTarget(in.Addr, in.Branch, in.Target, in.Len)
 		}
 	case isa.BranchJump, isa.BranchCall:
 		s.pred.WarmTarget(in.Addr, in.Branch, in.Target, in.Len)
-		s.pred.ArchShift(true)
+		s.pred.WarmShift(true)
 	case isa.BranchRet:
 		s.pred.WarmTarget(in.Addr, in.Branch, 0, in.Len)
-		s.pred.ArchShift(true)
+		s.pred.WarmShift(true)
 	case isa.BranchIndirect, isa.BranchIndirectCall:
 		s.pred.WarmTarget(in.Addr, in.Branch, rec.Next, in.Len)
-		s.pred.ArchShift(true)
+		s.pred.WarmShift(true)
 	}
 
 	taken := rec.Taken || in.Branch != isa.BranchCond

@@ -60,7 +60,9 @@ type Uop struct {
 	Mispredicted bool
 }
 
-// Queue is a bounded FIFO of uops.
+// Queue is a bounded FIFO of uops. It hands out its slots rather than
+// copying uops in and out: Push returns the tail slot for the producer to
+// fill, and Peek returns the head slot for the consumer to read in place.
 type Queue struct {
 	buf        []Uop
 	head, size int
@@ -94,41 +96,48 @@ func (q *Queue) Len() int { return q.size }
 // Free returns remaining slots.
 func (q *Queue) Free() int { return len(q.buf) - q.size }
 
-// Push appends a uop; it reports false when full.
-func (q *Queue) Push(u Uop) bool {
+// Push claims the tail slot and returns it for the caller to fill in place,
+// or nil when the queue is full. The slot still holds whatever uop last
+// occupied it; the caller overwrites every field.
+//
+//uopvet:hotpath
+func (q *Queue) Push() *Uop {
 	if q.size == len(q.buf) {
-		return false
+		return nil
 	}
 	i := q.head + q.size
 	if i >= len(q.buf) {
 		i -= len(q.buf)
 	}
-	q.buf[i] = u
 	q.size++
 	q.pushes.Inc()
-	return true
+	return &q.buf[i]
 }
 
-// Peek returns the oldest uop without removing it.
-func (q *Queue) Peek() (Uop, bool) {
+// Peek returns the oldest uop in place, or nil when the queue is empty.
+// The pointer is valid until the uop is popped and its slot pushed again.
+//
+//uopvet:hotpath
+func (q *Queue) Peek() *Uop {
 	if q.size == 0 {
-		return Uop{}, false
+		return nil
 	}
-	return q.buf[q.head], true
+	return &q.buf[q.head]
 }
 
-// Pop removes and returns the oldest uop.
-func (q *Queue) Pop() (Uop, bool) {
+// Pop removes the oldest uop; it reports false when the queue is empty.
+//
+//uopvet:hotpath
+func (q *Queue) Pop() bool {
 	if q.size == 0 {
-		return Uop{}, false
+		return false
 	}
-	u := q.buf[q.head]
 	q.head++
 	if q.head == len(q.buf) {
 		q.head = 0
 	}
 	q.size--
-	return u, true
+	return true
 }
 
 // Flush discards all queued uops (pipeline redirect).

@@ -6,21 +6,32 @@ import (
 	"uopsim/internal/isa"
 )
 
+// push fills the queue's tail slot with a uop of in; it reports false when
+// the queue is full.
+func push(q *Queue, in *isa.Inst) bool {
+	u := q.Push()
+	if u == nil {
+		return false
+	}
+	*u = Uop{Inst: in}
+	return true
+}
+
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue(4)
 	insts := []isa.Inst{{ID: 1}, {ID: 2}, {ID: 3}}
 	for i := range insts {
-		if !q.Push(Uop{Inst: &insts[i]}) {
+		if !push(q, &insts[i]) {
 			t.Fatalf("push %d failed", i)
 		}
 	}
 	for i := range insts {
-		u, ok := q.Pop()
-		if !ok || u.Inst.ID != insts[i].ID {
+		u := q.Peek()
+		if u == nil || u.Inst.ID != insts[i].ID || !q.Pop() {
 			t.Fatalf("pop %d wrong", i)
 		}
 	}
-	if _, ok := q.Pop(); ok {
+	if q.Pop() {
 		t.Fatal("empty pop should fail")
 	}
 }
@@ -31,9 +42,9 @@ func TestQueueCapacity(t *testing.T) {
 	if q.Cap() != 2 {
 		t.Fatalf("cap = %d", q.Cap())
 	}
-	q.Push(Uop{Inst: &in})
-	q.Push(Uop{Inst: &in})
-	if q.Push(Uop{Inst: &in}) {
+	push(q, &in)
+	push(q, &in)
+	if q.Push() != nil {
 		t.Fatal("push past capacity should fail")
 	}
 	if q.Free() != 0 || q.Len() != 2 {
@@ -50,11 +61,11 @@ func TestQueueWraparound(t *testing.T) {
 	in := [10]isa.Inst{}
 	for i := 0; i < 10; i++ {
 		in[i].ID = uint32(i)
-		if !q.Push(Uop{Inst: &in[i]}) {
+		if !push(q, &in[i]) {
 			t.Fatalf("push %d failed", i)
 		}
-		u, ok := q.Pop()
-		if !ok || u.Inst.ID != uint32(i) {
+		u := q.Peek()
+		if u == nil || u.Inst.ID != uint32(i) || !q.Pop() {
 			t.Fatalf("wrap pop %d wrong", i)
 		}
 	}
@@ -63,20 +74,26 @@ func TestQueueWraparound(t *testing.T) {
 func TestQueuePeek(t *testing.T) {
 	q := NewQueue(2)
 	in := isa.Inst{ID: 9}
-	if _, ok := q.Peek(); ok {
+	if q.Peek() != nil {
 		t.Fatal("peek on empty should fail")
 	}
-	q.Push(Uop{Inst: &in})
-	u, ok := q.Peek()
-	if !ok || u.Inst.ID != 9 || q.Len() != 1 {
+	push(q, &in)
+	u := q.Peek()
+	if u == nil || u.Inst.ID != 9 || q.Len() != 1 {
 		t.Fatal("peek wrong")
+	}
+	// Peek hands out the slot itself: a write through it is what the
+	// next Peek sees.
+	u.MemAddr = 0x40
+	if q.Peek().MemAddr != 0x40 {
+		t.Fatal("peek did not return the slot in place")
 	}
 }
 
 func TestQueueFlush(t *testing.T) {
 	q := NewQueue(4)
 	in := isa.Inst{}
-	q.Push(Uop{Inst: &in})
+	push(q, &in)
 	q.Flush()
 	if q.Len() != 0 {
 		t.Fatal("flush incomplete")

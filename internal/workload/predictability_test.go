@@ -36,7 +36,7 @@ func offlineAccuracy(t *testing.T, name string, n int, verbose bool) float64 {
 			conds++
 			var p bpred.Pred
 			tg.Predict(in.Addr, h, &p)
-			tg.Update(in.Addr, h, &p, rec.Taken)
+			tg.Update(&p, rec.Taken)
 			if cb := wl.Behaviors.Cond[in.ID]; cb != nil {
 				dynByKind[cb.Kind]++
 				if p.Taken != rec.Taken {
@@ -101,7 +101,7 @@ func TestCalibrationReport(t *testing.T) {
 				conds++
 				var p bpred.Pred
 				tg.Predict(in.Addr, h, &p)
-				tg.Update(in.Addr, h, &p, rec.Taken)
+				tg.Update(&p, rec.Taken)
 				if p.Taken != rec.Taken {
 					miss++
 				}
@@ -167,7 +167,7 @@ func TestMPKIRankSanity(t *testing.T) {
 			if in.Branch == isa.BranchCond {
 				var p bpred.Pred
 				tg.Predict(in.Addr, h, &p)
-				tg.Update(in.Addr, h, &p, rec.Taken)
+				tg.Update(&p, rec.Taken)
 				if p.Taken != rec.Taken {
 					miss++
 				}

@@ -7,40 +7,64 @@ import (
 	"uopsim/internal/trace"
 )
 
-// behaviorIndex re-keys the Behaviors maps as dense slices indexed by static
-// instruction ID so the walker's per-instruction path does no map lookups.
-// It is built once per workload build (BuildAt) and shared by every walker.
+// behaviorIndex re-keys the Behaviors maps densely so the walker's
+// per-instruction path does no map lookups. ord maps each static
+// instruction ID to a 1-based ordinal into the list of its kind (0 means
+// the instruction has no behaviour); the kind is the one the walker asks
+// for, fixed by the instruction's class. Ordinals follow instruction ID
+// order, one per ID. It is built once per workload build (BuildAt) and
+// shared by every walker.
 type behaviorIndex struct {
+	ord  []int32
 	cond []*CondBehavior
 	ind  []*IndirectBehavior
 	mem  []*MemBehavior
 }
 
 func newBehaviorIndex(prog *program.Program, beh *Behaviors) *behaviorIndex {
-	n := prog.NumInsts()
 	idx := &behaviorIndex{
-		cond: make([]*CondBehavior, n),
-		ind:  make([]*IndirectBehavior, n),
-		mem:  make([]*MemBehavior, n),
+		ord:  make([]int32, prog.NumInsts()),
+		cond: make([]*CondBehavior, 0, len(beh.Cond)),
+		ind:  make([]*IndirectBehavior, 0, len(beh.Indirect)),
+		mem:  make([]*MemBehavior, 0, len(beh.Mem)),
 	}
-	for id, cb := range beh.Cond {
-		idx.cond[id] = cb
-	}
-	for id, ib := range beh.Indirect {
-		idx.ind[id] = ib
-	}
-	for id, mb := range beh.Mem {
-		idx.mem[id] = mb
+	for i := range prog.Insts {
+		in := &prog.Insts[i]
+		switch {
+		case in.Branch == isa.BranchCond:
+			if cb := beh.Cond[in.ID]; cb != nil {
+				idx.cond = append(idx.cond, cb)
+				idx.ord[in.ID] = int32(len(idx.cond))
+			}
+		case in.Branch == isa.BranchIndirect || in.Branch == isa.BranchIndirectCall:
+			if ib := beh.Indirect[in.ID]; ib != nil {
+				idx.ind = append(idx.ind, ib)
+				idx.ord[in.ID] = int32(len(idx.ind))
+			}
+		case isMem(in.Class):
+			if mb := beh.Mem[in.ID]; mb != nil {
+				idx.mem = append(idx.mem, mb)
+				idx.ord[in.ID] = int32(len(idx.mem))
+			}
+		}
 	}
 	return idx
+}
+
+// isMem reports whether instructions of class c carry a memory address.
+func isMem(c isa.Class) bool {
+	return c == isa.ClassLoad || c == isa.ClassStore || c == isa.ClassLoadOp
 }
 
 // Walker executes a Workload architecturally, producing the oracle dynamic
 // instruction stream. It is deterministic for a given workload seed.
 //
-// All walker state is dense, indexed by static instruction ID: the walker
-// runs once per fetched instruction, and map-backed state dominated the
-// simulator's profile before the conversion.
+// All walker state is dense, one slot per behaviour of its kind, reached
+// through the shared index's per-instruction ordinal: the walker runs once
+// per fetched instruction, and map-backed state dominated the simulator's
+// profile before the conversion. Only branches and memory instructions
+// carry state, so sizing it per behaviour rather than per static
+// instruction keeps a fresh walker small.
 type Walker struct {
 	prog *program.Program
 	idx  *behaviorIndex
@@ -49,10 +73,10 @@ type Walker struct {
 	cur   uint32   // current static instruction ID
 	stack []uint32 // call stack of resume instruction IDs
 
-	trips    []int32       // live loop back-edge counters (0 = not live)
-	patPos   []uint32      // pattern positions per branch
-	indRun   []indirectRun // indirect-target run state per branch
-	memPos   []uint64      // per-instruction stream offsets
+	trips    []int32       // live loop back-edge counters per cond behaviour (0 = not live)
+	patPos   []uint32      // pattern positions per cond behaviour
+	indRun   []indirectRun // target run state per indirect behaviour
+	memPos   []uint64      // stream offsets per memory behaviour
 	executed uint64
 }
 
@@ -69,16 +93,15 @@ func NewWalker(w *Workload) *Walker {
 		// Hand-built or replay workloads that bypassed BuildAt.
 		idx = newBehaviorIndex(w.Program, w.Behaviors)
 	}
-	n := w.Program.NumInsts()
 	return &Walker{
 		prog:   w.Program,
 		idx:    idx,
 		rnd:    rng.New(w.Profile.Seed).Derive(5),
 		cur:    uint32(entryBlock.First),
-		trips:  make([]int32, n),
-		patPos: make([]uint32, n),
-		indRun: make([]indirectRun, n),
-		memPos: make([]uint64, n),
+		trips:  make([]int32, len(idx.cond)),
+		patPos: make([]uint32, len(idx.cond)),
+		indRun: make([]indirectRun, len(idx.ind)),
+		memPos: make([]uint64, len(idx.mem)),
 	}
 }
 
@@ -105,8 +128,7 @@ func (w *Walker) Next() (trace.Rec, bool) {
 			// synthesizer's layout, but keep replayed traces safe).
 			rec.Next = w.prog.Entry
 		}
-		switch in.Class {
-		case isa.ClassLoad, isa.ClassStore, isa.ClassLoadOp:
+		if isMem(in.Class) {
 			rec.MemAddr = w.memAddr(in)
 		}
 	}
@@ -168,30 +190,31 @@ func (w *Walker) push(resumeID uint32) {
 }
 
 func (w *Walker) condOutcome(in *isa.Inst) bool {
-	cb := w.idx.cond[in.ID]
-	if cb == nil {
+	o := w.idx.ord[in.ID] - 1
+	if o < 0 {
 		// Unannotated conditional (replayed or hand-built programs):
 		// fall through.
 		return false
 	}
+	cb := w.idx.cond[o]
 	switch cb.Kind {
 	case BehChaotic, BehBiased:
 		return w.rnd.Bool(cb.P)
 	case BehPattern:
-		pos := w.patPos[in.ID]
-		w.patPos[in.ID] = pos + 1
+		pos := w.patPos[o]
+		w.patPos[o] = pos + 1
 		return cb.Pattern>>(pos%uint32(cb.PatLen))&1 == 1
 	case BehLoop:
-		remaining := int(w.trips[in.ID])
+		remaining := int(w.trips[o])
 		if remaining == 0 { // not live: entering the loop
 			remaining = w.sampleTrips(cb)
 		}
 		remaining--
 		if remaining > 0 {
-			w.trips[in.ID] = int32(remaining)
+			w.trips[o] = int32(remaining)
 			return true // loop back
 		}
-		w.trips[in.ID] = 0
+		w.trips[o] = 0
 		return false // exit
 	default:
 		return false
@@ -206,11 +229,12 @@ func (w *Walker) sampleTrips(cb *CondBehavior) int {
 }
 
 func (w *Walker) indirectTarget(in *isa.Inst) uint64 {
-	ib := w.idx.ind[in.ID]
-	if ib == nil || len(ib.TargetBlocks) == 0 {
+	o := w.idx.ord[in.ID] - 1
+	if o < 0 || len(w.idx.ind[o].TargetBlocks) == 0 {
 		return w.prog.Entry
 	}
-	run := &w.indRun[in.ID]
+	ib := w.idx.ind[o]
+	run := &w.indRun[o]
 	if run.remaining > 0 {
 		run.remaining--
 		return run.target
@@ -225,14 +249,15 @@ func (w *Walker) indirectTarget(in *isa.Inst) uint64 {
 }
 
 func (w *Walker) memAddr(in *isa.Inst) uint64 {
-	mb := w.idx.mem[in.ID]
-	if mb == nil {
+	o := w.idx.ord[in.ID] - 1
+	if o < 0 {
 		return 0
 	}
+	mb := w.idx.mem[o]
 	if mb.Stride == 0 {
 		return mb.Base + w.rnd.Uint64()%mb.Size
 	}
-	off := w.memPos[in.ID]
-	w.memPos[in.ID] = off + uint64(mb.Stride)
+	off := w.memPos[o]
+	w.memPos[o] = off + uint64(mb.Stride)
 	return mb.Base + off%mb.Size
 }

@@ -11,7 +11,9 @@ import (
 // branch at pc.
 func trainTaken(p *bpred.Predictor, pc uint64, taken bool) {
 	for i := 0; i < 32; i++ {
-		p.TrainCond(pc, taken)
+		var pred bpred.Pred
+		p.PredictCond(pc, &pred)
+		p.UpdateCond(pc, &pred, taken)
 		p.ArchShift(taken)
 		p.SpecShift(taken)
 	}

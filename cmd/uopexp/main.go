@@ -11,7 +11,6 @@
 //	uopexp -exp all -warehouse .uopwh           # persist design points
 //	uopexp -exp all -warehouse .uopwh -cache-verify 4
 //	uopexp -exp all -warehouse .uopwh -migrate-from .uopcache
-//	uopexp -estimate-validate -warehouse .uopwh # surrogate held-out accuracy
 //
 // Every design point is routed through a shared engine that simulates each
 // unique (workload, config, run-length) fingerprint exactly once per
@@ -61,13 +60,6 @@ func run() int {
 		sampleK    = flag.Int("sample-intervals", 0, "sampling: measurement intervals per run (0 = default)")
 		sampleM    = flag.Uint64("sample-insts", 0, "sampling: measured instructions per interval (0 = default)")
 		sampleW    = flag.Uint64("sample-warmup", 0, "sampling: detailed-warmup instructions per interval (0 = default)")
-		sampleVal  = flag.Bool("sample-validate", false, "run the sampling error-bound harness (full vs sampled on every workload) and write -sample-report")
-		sampleBnd  = flag.Float64("sample-bound", 6.0, "sample-validate: fail if any gated metric's worst relative error exceeds this percentage")
-		sampleRep  = flag.String("sample-report", "BENCH_sampling.json", "sample-validate: machine-readable report path (\"-\" for stdout)")
-		estVal     = flag.Bool("estimate-validate", false, "run the surrogate held-out accuracy harness (train on the grid, score the holdout) and write -estimate-report")
-		estBnd     = flag.Float64("estimate-bound", 6.0, "estimate-validate: fail if any gated metric's confident-subset worst relative error exceeds this percentage")
-		estRep     = flag.String("estimate-report", "BENCH_estimate.json", "estimate-validate: machine-readable report path (\"-\" for stdout)")
-		estConf    = flag.Float64("estimate-confidence", 0, "estimate-validate: serving gate splitting confident from fall-through predictions (0 = default 0.7)")
 	)
 	flag.Parse()
 
@@ -131,15 +123,6 @@ func run() int {
 	if *workloads != "" {
 		params.Workloads = strings.Split(*workloads, ",")
 	}
-	if *sampleVal {
-		sp := params.Sampling
-		sp.Enabled = true
-		names := params.Workloads
-		if len(names) == 0 {
-			names = uopsim.WorkloadNames()
-		}
-		return runSampleValidate(names, *warmup, *insts, sp, *sampleBnd, *sampleRep)
-	}
 	var wh *uopsim.ResultsWarehouse
 	if *dedupe {
 		eng, ws, err := uopsim.NewRunEngine(*whDir, uopsim.WarehouseOptions{MaxBytes: *whMaxBytes}, *cacheVer)
@@ -160,15 +143,6 @@ func run() int {
 			}
 		}
 		params.Engine = eng
-	}
-	// Unlike -sample-validate, this branch sits after engine setup on
-	// purpose: pointing it at the warehouse a cold sweep just filled makes
-	// grid resolution a pure disk replay instead of a re-simulation.
-	if *estVal {
-		if wh != nil {
-			defer func() { fmt.Fprintf(os.Stderr, "[warehouse: %s]\n", wh) }()
-		}
-		return runEstimateValidate(params, *estBnd, *estConf, *estRep)
 	}
 	var collected []runSnapshot
 	if *metricsOut != "" {

@@ -211,7 +211,8 @@ func (g *Gateway) recordServed(fp runcache.Fingerprint, pt experiments.PointRequ
 }
 
 // enqueueRepl schedules one blob copy, deduplicating in-flight jobs. A
-// full queue drops the job — the next read-through or rejoin re-enqueues.
+// full queue drops the job and counts it in repl_dropped — the next
+// read-through or rejoin re-enqueues.
 func (g *Gateway) enqueueRepl(j replJob) {
 	g.mu.Lock()
 	if g.replPending[j.fp] {
@@ -226,6 +227,7 @@ func (g *Gateway) enqueueRepl(j replJob) {
 		g.mu.Lock()
 		delete(g.replPending, j.fp)
 		g.mu.Unlock()
+		g.met.replDropped.Add(1)
 	}
 }
 
@@ -736,6 +738,7 @@ type GatewayCounters struct {
 	PeerReads    uint64 `json:"peer_reads"`
 	Replications uint64 `json:"replications"`
 	ReplFailed   uint64 `json:"repl_failed"`
+	ReplDropped  uint64 `json:"repl_dropped"`
 	SweepLines   uint64 `json:"sweep_lines"`
 	Markdowns    uint64 `json:"markdowns"`
 	Rejoins      uint64 `json:"rejoins"`
@@ -786,6 +789,7 @@ func (g *Gateway) statsResponse() StatsResponse {
 	resp.Gateway.PeerReads = g.met.peerReads.Load()
 	resp.Gateway.Replications = g.met.replications.Load()
 	resp.Gateway.ReplFailed = g.met.replFailed.Load()
+	resp.Gateway.ReplDropped = g.met.replDropped.Load()
 	resp.Gateway.SweepLines = g.met.sweepLines.Load()
 	resp.Gateway.Retries = g.met.retries.Load()
 	resp.Gateway.Markdowns, resp.Gateway.Rejoins, resp.Gateway.ProbeRounds = g.mem.counters()

@@ -436,3 +436,37 @@ func TestGatewayStatsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestEnqueueReplCountsDrops fills the replication queue with no worker
+// draining it: the job past capacity must be dropped, counted in
+// repl_dropped, and leave no pending mark behind, so a later read-through
+// or rejoin can enqueue it again.
+func TestEnqueueReplCountsDrops(t *testing.T) {
+	gw, err := New(Config{Nodes: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cap(gw.replJobs); i++ {
+		gw.enqueueRepl(replJob{fp: runcache.Fingerprint(fmt.Sprintf("fp-%d", i))})
+	}
+	if n := gw.met.replDropped.Load(); n != 0 {
+		t.Fatalf("repl_dropped = %d with the queue not yet full, want 0", n)
+	}
+	over := runcache.Fingerprint("fp-over")
+	gw.enqueueRepl(replJob{fp: over})
+	if n := gw.met.replDropped.Load(); n != 1 {
+		t.Fatalf("repl_dropped = %d after one job past capacity, want 1", n)
+	}
+	gw.mu.Lock()
+	pending := gw.replPending[over]
+	gw.mu.Unlock()
+	if pending {
+		t.Fatal("dropped job left its pending mark set")
+	}
+	if got := gw.met.reg.CounterValue("gateway.repl_dropped"); got != 1 {
+		t.Fatalf("/metrics gateway.repl_dropped = %d, want 1", got)
+	}
+	if got := gw.statsResponse().Gateway.ReplDropped; got != 1 {
+		t.Fatalf("/v1/stats repl_dropped = %d, want 1", got)
+	}
+}

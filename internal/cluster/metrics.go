@@ -22,6 +22,7 @@ type gwMetrics struct {
 	peerReads    atomic.Uint64
 	replications atomic.Uint64
 	replFailed   atomic.Uint64
+	replDropped  atomic.Uint64
 	sweepLines   atomic.Uint64
 	retries      atomic.Uint64
 
@@ -35,7 +36,8 @@ type gwMetrics struct {
 // non-owner because the owner was down), peer_reads (points served from a
 // spill-over neighbor while the owner was back up — the read-through
 // path), replications / repl_failed (spilled blobs copied back to their
-// owner), sweep_lines (scatter-gather lines merged), retries (per-point
+// owner), repl_dropped (replication jobs discarded because the queue was
+// full), sweep_lines (scatter-gather lines merged), retries (per-point
 // reroutes after a shard failure). Per shard: requests and errors as seen
 // from the gateway, and proxied-request latency in ms.
 
@@ -56,6 +58,7 @@ func newGwMetrics(nodeNames []string, ring *Ring, mem *membership) *gwMetrics {
 	sc.RegisterCounterFunc("peer_reads", func() uint64 { return m.peerReads.Load() })
 	sc.RegisterCounterFunc("replications", func() uint64 { return m.replications.Load() })
 	sc.RegisterCounterFunc("repl_failed", func() uint64 { return m.replFailed.Load() })
+	sc.RegisterCounterFunc("repl_dropped", func() uint64 { return m.replDropped.Load() })
 	sc.RegisterCounterFunc("sweep_lines", func() uint64 { return m.sweepLines.Load() })
 	sc.RegisterCounterFunc("retries", func() uint64 { return m.retries.Load() })
 	sc.RegisterGauge("ring_nodes", func() float64 { return float64(ring.Len()) })

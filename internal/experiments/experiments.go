@@ -213,7 +213,7 @@ type Point struct {
 // index-for-index with pts. A failed point leaves a zero Run at its index
 // and is reported through the aggregated error, so callers can salvage
 // partial batches. This is the external face of the sweep executor
-// (cmd/uopbench's golden dump drives its Table II loop through it).
+// (the surrogate and estimate gate tests resolve their grids through it).
 func RunPoints(p Params, pts []Point) ([]Run, error) {
 	p = p.withDefaults()
 	jobs := make([]job, len(pts))

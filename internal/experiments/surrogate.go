@@ -9,6 +9,11 @@ import (
 	"uopsim/internal/workload"
 )
 
+// DefaultEstimateConfidence is the serving threshold uopsimd applies when
+// -estimate-confidence is not set: predictions at or above it are served
+// from the fast tier, below it fall through to real simulation.
+const DefaultEstimateConfidence = 0.7
+
 // DerivedMetricValues projects every derived metric the query vocabulary
 // knows (upc, ipc, oc_hit_rate, ...) out of one decoded point. This is the
 // metric vector the surrogate model trains on and predicts — the same

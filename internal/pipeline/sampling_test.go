@@ -163,9 +163,9 @@ func TestRunSampledDisabledMatchesFull(t *testing.T) {
 
 // TestRunSampledTracksFull is the error-bound sanity check at test scale:
 // the sampled estimate of a full run must land within a loose tolerance of
-// the full metrics (the tight bounds are measured and documented by the
-// cmd/uopexp -sample-validate harness; this guards against gross breakage
-// like unwarmed predictors or mis-scaled extrapolation).
+// the full metrics (the tight bounds are measured and gated by
+// TestSamplingErrorBound in internal/experiments; this guards against
+// gross breakage like unwarmed predictors or mis-scaled extrapolation).
 func TestRunSampledTracksFull(t *testing.T) {
 	wl := buildWL(t, "bm_ds")
 	sim, err := New(DefaultConfig(), wl)

@@ -51,7 +51,7 @@ type Options struct {
 	// dimension RMS, in z-score units) at which confidence halves (default
 	// 2.0 — calibrated so adjacent-capacity neighbors on the sweep grid
 	// clear the 0.7 serving gate when their metric surface is flat, see
-	// `uopexp -estimate-validate`).
+	// TestEstimateHeldOutAccuracy in internal/experiments).
 	DistanceScale float64
 	// SpreadScale is the weighted relative metric spread among neighbors at
 	// which confidence halves (default 0.25).

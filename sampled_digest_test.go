@@ -12,7 +12,9 @@ import (
 	"uopsim"
 )
 
-var updateSampled = flag.Bool("update", false, "rewrite testdata/sampled_digests.json from the current simulator")
+// update rewrites the testdata files the tests compare against
+// (golden_metrics.json, sampled_digests.json) from the current simulator.
+var update = flag.Bool("update", false, "rewrite the testdata golden files from the current simulator")
 
 // sampledDigestWorkloads is the Table II benchmark set.
 var sampledDigestWorkloads = []string{"bm_cc", "nutch", "redis", "bm_x64"}
@@ -33,7 +35,7 @@ const (
 func TestSampledDigests(t *testing.T) {
 	const path = "testdata/sampled_digests.json"
 	want := map[string]string{}
-	if !*updateSampled {
+	if !*update {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -74,14 +76,14 @@ func TestSampledDigests(t *testing.T) {
 					mu.Lock()
 					got[key] = d
 					mu.Unlock()
-					if !*updateSampled && d != want[key] {
+					if !*update && d != want[key] {
 						t.Errorf("sampled metrics digest %s, want %s", d, want[key])
 					}
 				})
 			}
 		}
 	})
-	if *updateSampled {
+	if *update {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)

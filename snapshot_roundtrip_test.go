@@ -2,7 +2,6 @@ package uopsim_test
 
 import (
 	"encoding/json"
-	"os"
 	"reflect"
 	"testing"
 
@@ -19,21 +18,7 @@ import (
 // precision in transit, a dropped sample, or an encoding that perturbs a
 // float would all surface here as a golden mismatch.
 func TestGoldenMetricsViaSnapshotRoundTrip(t *testing.T) {
-	raw, err := os.ReadFile("testdata/golden_metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gf goldenFile
-	if err := json.Unmarshal(raw, &gf); err != nil {
-		t.Fatal(err)
-	}
-	if len(gf.Points) == 0 {
-		t.Fatal("golden file has no points")
-	}
-	schemes := map[string]uopsim.Scheme{}
-	for _, sc := range uopsim.Schemes(2) {
-		schemes[sc.Name] = sc
-	}
+	gf := loadGolden(t)
 	roundTrip := func(t *testing.T, s uopsim.StatsSnapshot) uopsim.StatsSnapshot {
 		t.Helper()
 		b, err := json.Marshal(s)
@@ -46,30 +31,22 @@ func TestGoldenMetricsViaSnapshotRoundTrip(t *testing.T) {
 		}
 		return decoded
 	}
-	for _, pt := range gf.Points {
-		pt := pt
-		t.Run(pt.Workload+"/"+pt.Scheme, func(t *testing.T) {
-			t.Parallel()
-			sc, ok := schemes[pt.Scheme]
-			if !ok {
-				t.Fatalf("unknown scheme %q in golden file", pt.Scheme)
-			}
-			sim, err := uopsim.NewSimulator(sc.Configure(pt.Capacity), pt.Workload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sim.Run(gf.Warmup); err != nil {
-				t.Fatal(err)
-			}
-			a := roundTrip(t, sim.StatsSnapshot())
-			if err := sim.Run(gf.Measure); err != nil {
-				t.Fatal(err)
-			}
-			b := roundTrip(t, sim.StatsSnapshot())
-			m := uopsim.MetricsFromSnapshots(a, b)
-			if !reflect.DeepEqual(m, pt.Metrics) {
-				t.Errorf("round-tripped metrics diverged from golden\n got: %+v\nwant: %+v", m, pt.Metrics)
-			}
-		})
-	}
+	forEachGolden(t, gf, func(t *testing.T, cfg uopsim.Config, pt *goldenPoint) {
+		sim, err := uopsim.NewSimulator(cfg, pt.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(gf.Warmup); err != nil {
+			t.Fatal(err)
+		}
+		a := roundTrip(t, sim.StatsSnapshot())
+		if err := sim.Run(gf.Measure); err != nil {
+			t.Fatal(err)
+		}
+		b := roundTrip(t, sim.StatsSnapshot())
+		m := uopsim.MetricsFromSnapshots(a, b)
+		if !reflect.DeepEqual(m, pt.Metrics) {
+			t.Errorf("round-tripped metrics diverged from golden\n got: %+v\nwant: %+v", m, pt.Metrics)
+		}
+	})
 }

@@ -29,9 +29,7 @@ import (
 
 	"uopsim/internal/experiments"
 	"uopsim/internal/pipeline"
-	"uopsim/internal/runcache"
 	"uopsim/internal/stats"
-	"uopsim/internal/surrogate"
 	"uopsim/internal/uopcache"
 	"uopsim/internal/warehouse"
 	"uopsim/internal/workload"
@@ -86,14 +84,6 @@ type ExperimentRun = experiments.Run
 // invalidation rule.
 type RunEngine = experiments.Engine
 
-// RunEngineStats are the engine's resolution counters (simulated vs memo
-// vs disk) plus the measured dedupe factor.
-type RunEngineStats = runcache.Stats
-
-// DesignPoint names one (workload, scheme, capacity) simulation for
-// RunDesignPoints.
-type DesignPoint = experiments.Point
-
 // ResultsWarehouse is the indexed design-point store: an append-only
 // segment file log keyed by fingerprint, carrying each point's feature
 // vector so stored results can be selected by workload or config field
@@ -103,12 +93,6 @@ type ResultsWarehouse = warehouse.Store
 // WarehouseOptions sizes a warehouse (segment rotation, byte budget,
 // compaction trigger). The zero value selects the documented defaults.
 type WarehouseOptions = warehouse.Options
-
-// WarehouseQuery selects warehouse records by feature predicates.
-type WarehouseQuery = warehouse.Query
-
-// WarehouseStats are the warehouse's gauges and activity counters.
-type WarehouseStats = warehouse.Stats
 
 // NewRunEngine builds a design-point engine. dir == "" keeps results
 // in-process only and returns a nil warehouse; otherwise completed points
@@ -121,69 +105,6 @@ type WarehouseStats = warehouse.Stats
 // blob directory into the warehouse with ResultsWarehouse.ImportDir.
 func NewRunEngine(dir string, opts WarehouseOptions, verifyEvery int) (*RunEngine, *ResultsWarehouse, error) {
 	return experiments.NewEngine(dir, opts, verifyEvery)
-}
-
-// RunDesignPoints runs one simulation per point, in parallel, deduped
-// through p.Engine when one is attached. The returned slice is aligned
-// with pts; failed points hold zero Runs and are summarized in the error.
-func RunDesignPoints(p ExperimentParams, pts []DesignPoint) ([]ExperimentRun, error) {
-	return experiments.RunPoints(p, pts)
-}
-
-// Features is the canonical feature vector the warehouse stores with each
-// design point (workload identity, run lengths, every config field).
-type Features = runcache.Features
-
-// Fingerprint is a design point's content-derived identity.
-type Fingerprint = runcache.Fingerprint
-
-// Surrogate is the warehouse-trained fast tier behind uopsimd's
-// /v1/estimate: a k-nearest-neighbor local-interpolation model over stored
-// feature vectors that predicts derived metrics with a per-prediction
-// confidence. See DESIGN.md §12.
-type Surrogate = surrogate.Model
-
-// SurrogateOptions tunes a Surrogate (zero values = documented defaults).
-type SurrogateOptions = surrogate.Options
-
-// SurrogatePoint is one training point: a fingerprint, its feature vector,
-// and its derived-metric values.
-type SurrogatePoint = surrogate.Point
-
-// SurrogatePrediction is one fast-tier answer with its confidence.
-type SurrogatePrediction = surrogate.Prediction
-
-// NewSurrogate builds an empty model; Fit or Insert train it.
-func NewSurrogate(opts SurrogateOptions) *Surrogate { return surrogate.New(opts) }
-
-// TrainSurrogate trains a fresh model on every decodable record in ws,
-// returning the model and how many records were skipped.
-func TrainSurrogate(ws *ResultsWarehouse, opts SurrogateOptions) (*Surrogate, int, error) {
-	return experiments.NewStoreSurrogate(ws, opts)
-}
-
-// DesignPointFeatures is the feature vector the engine stores for one
-// design point at p's run lengths — the query shape a Surrogate accepts.
-func DesignPointFeatures(pt DesignPoint, p ExperimentParams) (Features, error) {
-	return experiments.FeaturesForPoint(pt, p)
-}
-
-// DefaultEstimateConfidence is uopsimd's default /v1/estimate serving gate.
-const DefaultEstimateConfidence = experiments.DefaultEstimateConfidence
-
-// EstimateValidateOptions shapes the surrogate held-out accuracy harness
-// behind `uopexp -estimate-validate`.
-type EstimateValidateOptions = experiments.EstimateValidateOptions
-
-// EstimateValidationReport is the harness's machine-readable result.
-type EstimateValidationReport = experiments.EstimateReport
-
-// EstimateValidate trains a surrogate on a train split of the
-// workloads × schemes × capacities grid and scores the held-out split,
-// reporting per-metric relative error overall and over the confident
-// subset (what uopsimd would actually have served).
-func EstimateValidate(w io.Writer, p ExperimentParams, o EstimateValidateOptions) (*EstimateValidationReport, error) {
-	return experiments.EstimateValidate(w, p, o)
 }
 
 // StatsSnapshot is a stable-ordered dump of every registered instrument.
